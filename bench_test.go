@@ -87,7 +87,8 @@ func benchFleetScenario(b *testing.B, id string, fleetWorkers int) *experiments.
 }
 
 // fleetBenchWorkers is the worker axis the fleet-scenario benchmarks sweep
-// (recorded in BENCH_parfleet.json).
+// (`bash hostbench/run.sh` tracks the same scenarios as
+// experiments.E13/E15/E16.wall_ms).
 var fleetBenchWorkers = []int{1, 4, 8}
 
 // BenchmarkFig5_Curve regenerates Fig. 5 (E2): the fine-grained
@@ -244,8 +245,8 @@ func BenchmarkSingleLoad(b *testing.B) {
 // BenchmarkCampaignSuite runs the full E1–A5 suite through the Campaign
 // API at several worker counts. Wall time per op is the headline: on a
 // multi-core host the sharded suite should approach (slowest shard +
-// scheduling) rather than the sequential sum. The recorded numbers extend
-// the perf trajectory in BENCH_campaign.json.
+// scheduling) rather than the sequential sum. `bash hostbench/run.sh
+// --workload campaign` tracks the same run as cpu_s_per_op.
 func BenchmarkCampaignSuite(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run("parallel-"+strconv.Itoa(workers), func(b *testing.B) {
@@ -608,7 +609,8 @@ func BenchmarkKernelEvents(b *testing.B) {
 // site (TestDisabledPathZeroAlloc pins the alloc half of that contract)
 // — and "on" attaches a full tracer collecting spans, events, and the
 // 1 ms metric grid. The simulated outputs are byte-identical either way;
-// only wall clock and memory move. Recorded in BENCH_obs.json.
+// only wall clock and memory move. `bash hostbench/run.sh --trace 1`
+// tracks the overhead as trace.overhead_pct.
 func BenchmarkTraceOverhead(b *testing.B) {
 	for _, traced := range []bool{false, true} {
 		name := "off"

@@ -131,15 +131,20 @@ func realMain(ctx context.Context, w io.Writer, opts options) error {
 		}
 		return listScenarios(w)
 	}
+	// Every campaign option is passed as parsed; its zero value is the
+	// default, and the campaign validates them all before any shard runs.
 	copts := []pdr.CampaignOption{
 		pdr.WithCampaignSeed(opts.seed),
 		pdr.WithWorkers(opts.parallel),
-	}
-	if opts.fleetWorkers != 1 {
-		copts = append(copts, pdr.WithFleetWorkers(opts.fleetWorkers))
-	}
-	if opts.platform != "" {
-		copts = append(copts, pdr.WithBoardVariant(pdr.BoardVariant(opts.platform)))
+		pdr.WithFleetWorkers(opts.fleetWorkers),
+		pdr.WithPlanWorkers(opts.planWorkers),
+		pdr.WithBoardVariant(pdr.BoardVariant(opts.platform)),
+		pdr.WithFleetRouter(opts.router),
+		pdr.WithChaosStorm(opts.chaosCrashes, opts.chaosExcursions, opts.chaosGlitches),
+		pdr.WithTraceFile(opts.traceIn),
+		pdr.WithScalerPolicy(pdr.ScalerPolicy(opts.scaler)),
+		pdr.WithPlanRate(opts.planRate),
+		pdr.WithSLO(sim.Duration(opts.planP99*float64(sim.Millisecond)), opts.planShed),
 	}
 	if opts.fleet != "" {
 		var sizes []int
@@ -157,53 +162,6 @@ func realMain(ctx context.Context, w io.Writer, opts options) error {
 			return fmt.Errorf("invalid -fleet %q (want positive integers, e.g. 1,2,4)", opts.fleet)
 		}
 		copts = append(copts, pdr.WithFleetGrid(sizes...))
-	}
-	if opts.router != "" {
-		valid := false
-		for _, name := range pdr.Routers() {
-			if name == opts.router {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return fmt.Errorf("unknown router %q (want %s)", opts.router, strings.Join(pdr.Routers(), "|"))
-		}
-		copts = append(copts, pdr.WithFleetRouter(opts.router))
-	}
-	if opts.chaosCrashes != 0 || opts.chaosExcursions != 0 || opts.chaosGlitches != 0 {
-		copts = append(copts, pdr.WithChaosStorm(opts.chaosCrashes, opts.chaosExcursions, opts.chaosGlitches))
-	}
-	if opts.traceIn != "" {
-		copts = append(copts, pdr.WithTraceFile(opts.traceIn))
-	}
-	if opts.planWorkers != 1 {
-		copts = append(copts, pdr.WithPlanWorkers(opts.planWorkers))
-	}
-	if opts.planRate != 0 {
-		if opts.planRate < 0 {
-			return fmt.Errorf("invalid -plan-rate %g (want a positive rate)", opts.planRate)
-		}
-		copts = append(copts, pdr.WithPlanRate(opts.planRate))
-	}
-	if opts.planP99 != 0 || opts.planShed != 0 {
-		if opts.planP99 < 0 || opts.planShed < 0 {
-			return fmt.Errorf("invalid SLO -plan-p99 %g / -plan-shed %g (want positive values)", opts.planP99, opts.planShed)
-		}
-		copts = append(copts, pdr.WithSLO(sim.Duration(opts.planP99*float64(sim.Millisecond)), opts.planShed))
-	}
-	if opts.scaler != "" {
-		valid := false
-		for _, name := range pdr.ScalerPolicies() {
-			if name == opts.scaler {
-				valid = true
-				break
-			}
-		}
-		if !valid {
-			return fmt.Errorf("unknown scaler %q (want %s)", opts.scaler, strings.Join(pdr.ScalerPolicies(), "|"))
-		}
-		copts = append(copts, pdr.WithScalerPolicy(pdr.ScalerPolicy(opts.scaler)))
 	}
 	if opts.traceOut != "" {
 		if err := writeTraceOut(opts); err != nil {

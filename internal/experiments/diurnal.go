@@ -135,13 +135,18 @@ func diurnalStream(cfg Config) (workload.Trace, error) {
 	if cfg.TraceFile == "" {
 		return DiurnalTrace(cfg)
 	}
-	data, err := os.ReadFile(cfg.TraceFile)
+	return readTrace(cfg.TraceFile)
+}
+
+// readTrace imports a versioned trace file.
+func readTrace(path string) (workload.Trace, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: trace file: %w", err)
 	}
 	tr, err := workload.ImportTrace(data)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: trace file %s: %w", cfg.TraceFile, err)
+		return nil, fmt.Errorf("experiments: trace file %s: %w", path, err)
 	}
 	return tr, nil
 }

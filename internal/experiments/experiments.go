@@ -7,7 +7,7 @@
 // always agree.
 //
 // Scenarios are registered at init in a package registry (see registry.go)
-// and discovered by ID ("E1"…"E9", "A1"…"A5") or legacy alias ("tableI"…).
+// and discovered by ID ("E1"…"E17", "A1"…"A5") or legacy alias ("tableI"…).
 // Every scenario declares a fixed shard plan — independent work units that
 // each run on a fresh Env — so a campaign can execute shards on any number
 // of workers and merge by index to byte-identical output.
@@ -16,9 +16,12 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/bitstream"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -196,19 +199,16 @@ func MarkdownSuite(reports []*Report, cfg Config) string {
 // Config parameterises a campaign run: the seed, the simulated board
 // variant, and optional grid overrides consumed by the sweep/stress/power
 // scenarios. The zero value is the paper's calibrated setup at seed 0.
+// It is the single declaration of every campaign knob; Validate checks
+// all of them before a campaign starts. The board's ambient temperature
+// and thermal time constant belong to the platform profile (see the
+// zedboard-hot and zedboard-slow-thermal presets), not to Config.
 type Config struct {
 	// Seed drives every stochastic model.
 	Seed uint64
 	// Platform names the registered platform profile the campaign's boards
 	// are built as ("" ⇒ the default zedboard). See internal/platform.
 	Platform string
-	// AmbientC is the room temperature (0 ⇒ the profile's boot ambient).
-	AmbientC float64
-	// SlowThermal selects the physical 2 s thermal time constant instead
-	// of the fast test-friendly one.
-	SlowThermal bool
-	// NominalMHz overrides the initial over-clock frequency (0 ⇒ 100).
-	NominalMHz float64
 	// Freqs overrides the frequency axis of the grid scenarios (E2, E3,
 	// E4); nil keeps the paper grids.
 	Freqs []float64
@@ -267,6 +267,68 @@ type Config struct {
 	Obs *obs.Tracer
 }
 
+// absoluteZeroC is the lowest temperature a grid may name.
+const absoluteZeroC = -273.15
+
+// Validate checks every knob of the configuration, including those the
+// selected scenarios never read, so a malformed value fails before any
+// shard starts:
+//   - Platform names a registered profile ("" is the default);
+//   - Freqs and Rates are finite and positive, Temps finite and not below
+//     absolute zero, FleetSizes at least 1;
+//   - Router and Scaler are "" or a name cluster.RouterNames /
+//     cluster.ScalerPolicies lists;
+//   - PlanRate, PlanP99MS and PlanShed are finite and non-negative, and
+//     PlanShed is at most 1;
+//   - TraceFile, when set, opens and imports as a trace.
+func (c Config) Validate() error {
+	if _, err := ProfileFor(c); err != nil {
+		return err
+	}
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	for _, f := range c.Freqs {
+		if !finite(f) || f <= 0 {
+			return fmt.Errorf("experiments: frequency %g MHz out of range (want finite, positive)", f)
+		}
+	}
+	for _, r := range c.Rates {
+		if !finite(r) || r <= 0 {
+			return fmt.Errorf("experiments: rate %g req/s out of range (want finite, positive)", r)
+		}
+	}
+	for _, t := range c.Temps {
+		if !finite(t) || t < absoluteZeroC {
+			return fmt.Errorf("experiments: temperature %g °C out of range (want finite, ≥ %g)", t, absoluteZeroC)
+		}
+	}
+	for _, n := range c.FleetSizes {
+		if n < 1 {
+			return fmt.Errorf("experiments: fleet size %d out of range (want ≥ 1)", n)
+		}
+	}
+	if c.Router != "" && !slices.Contains(cluster.RouterNames(), c.Router) {
+		return fmt.Errorf("experiments: unknown router %q (want %s)", c.Router, strings.Join(cluster.RouterNames(), "|"))
+	}
+	if c.Scaler != "" && !slices.Contains(cluster.ScalerPolicies(), c.Scaler) {
+		return fmt.Errorf("experiments: unknown scaler %q (want %s)", c.Scaler, strings.Join(cluster.ScalerPolicies(), "|"))
+	}
+	if !finite(c.PlanRate) || c.PlanRate < 0 {
+		return fmt.Errorf("experiments: plan rate %g req/s out of range (want finite, ≥ 0)", c.PlanRate)
+	}
+	if !finite(c.PlanP99MS) || c.PlanP99MS < 0 {
+		return fmt.Errorf("experiments: plan p99 %g ms out of range (want finite, ≥ 0)", c.PlanP99MS)
+	}
+	if !finite(c.PlanShed) || c.PlanShed < 0 || c.PlanShed > 1 {
+		return fmt.Errorf("experiments: plan shed %g out of range (want a fraction in [0, 1])", c.PlanShed)
+	}
+	if c.TraceFile != "" {
+		if _, err := readTrace(c.TraceFile); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // obsFleet registers one shard's fleet with the campaign tracer (nil —
 // and therefore free — when tracing is off). The "<id>/<shard>" key
 // orders the export deterministically whatever schedule ran the shards;
@@ -295,7 +357,7 @@ func NewEnv(seed uint64) (*Env, error) {
 func ProfileFor(cfg Config) (*platform.Profile, error) {
 	prof, ok := platform.Lookup(cfg.Platform)
 	if !ok {
-		return nil, fmt.Errorf("experiments: unknown platform %q (want %s)", cfg.Platform, platform.NameList())
+		return nil, fmt.Errorf("experiments: unknown board variant %q (registered platforms: %s)", cfg.Platform, platform.NameList())
 	}
 	return prof, nil
 }
@@ -306,13 +368,7 @@ func NewEnvWith(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := zynq.NewPlatform(zynq.Options{
-		Seed:        cfg.Seed,
-		Profile:     prof,
-		AmbientC:    cfg.AmbientC,
-		NominalMHz:  cfg.NominalMHz,
-		FastThermal: !cfg.SlowThermal,
-	})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: cfg.Seed, Profile: prof, FastThermal: true})
 	if err != nil {
 		return nil, err
 	}
@@ -329,7 +385,7 @@ func NewEnvWith(cfg Config) (*Env, error) {
 	return &Env{Platform: p, Controller: c, Bitstream: bs, Cfg: cfg}, nil
 }
 
-// freshFrames returns a second bitstream (the paper's SD card carried two).
+// secondBitstream returns a second bitstream (the paper's SD card carried two).
 func (e *Env) secondBitstream() (*bitstream.Bitstream, error) {
 	asp, err := workload.LibraryASP("sha3")
 	if err != nil {
@@ -350,8 +406,8 @@ func validity(ok bool) string {
 	return "not valid"
 }
 
-// frameStd is a shared helper for building a standard-size bitstream for an
-// arbitrary region (used by SecVI and ablations).
+// buildFor builds a standard-size bitstream for an arbitrary region (used
+// by SecVI and the ablations).
 func buildFor(p *zynq.Platform, rp fabric.Region, name string, seed uint64) (*bitstream.Bitstream, error) {
 	asp := workload.ASP{Name: name, FillFraction: 0.55, Seed: seed}
 	return bitstream.Build(p.Device, rp, name, asp.Frames(p.Device, rp))

@@ -122,9 +122,6 @@ var scaleHeader = []string{
 
 // scalePoint serves the composition's stream on one fleet build.
 func scalePoint(cfg Config, comp fleetComposition, size int, auto bool, ft *obs.FleetTrace) (*cluster.FleetStats, error) {
-	if size < 1 {
-		return nil, fmt.Errorf("experiments: fleet size %d out of range (WithFleetGrid wants positive sizes)", size)
-	}
 	rps, err := fleetRPs(comp)
 	if err != nil {
 		return nil, err

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 )
 
 // Scenario is one registered, discoverable experiment. A scenario is a pure
@@ -13,7 +12,7 @@ import (
 // number of workers, and Merge — applied to the shard reports in index
 // order — reconstructs byte-identical output regardless of the schedule.
 type Scenario struct {
-	// ID is the stable experiment id ("E1"…"E9", "A1"…"A5").
+	// ID is the stable experiment id ("E1"…"E17", "A1"…"A5").
 	ID string
 	// Title names the paper artefact.
 	Title string
@@ -74,8 +73,8 @@ func Lookup(key string) (Scenario, bool) {
 	return registry[idx], true
 }
 
-// All returns every registered scenario in registration order (E1…E9 then
-// A1…A5 — the order EXPERIMENTS.md presents them).
+// All returns every registered scenario in registration order (E1…E17
+// then A1…A5 — the order EXPERIMENTS.md presents them).
 func All() []Scenario {
 	out := make([]Scenario, len(registry))
 	copy(out, registry)
@@ -94,40 +93,17 @@ func IDs() []string {
 // KeyList renders "E1|E2|…" for usage strings.
 func KeyList() string { return strings.Join(IDs(), "|") }
 
-// RunSequential executes every shard of the scenario in index order, each
-// on a fresh Env built from cfg, and merges. This is the sequential
-// reference path a parallel campaign must reproduce byte for byte; the
-// root benchmarks and tests use it so every consumer of a scenario — the
-// campaign, pdrbench, EXPERIMENTS.md, `go test -bench` — runs the same
-// implementation and reports the same numbers.
+// RunSequential runs one scenario through RunCampaign on a single worker:
+// the sequential reference path a parallel campaign must reproduce byte
+// for byte. The root benchmarks and tests use it so every consumer of a
+// scenario — the campaign, pdrbench, EXPERIMENTS.md, `go test -bench` —
+// runs the same implementation and reports the same numbers.
 func RunSequential(ctx context.Context, s Scenario, cfg Config) (*Report, error) {
-	n := s.Shards(cfg)
-	parts := make([]*Report, n)
-	t0 := time.Now()
-	for k := 0; k < n; k++ {
-		env, err := NewEnvWith(s.EnvConfig(cfg, k))
-		if err != nil {
-			return nil, err
-		}
-		if parts[k], err = s.Run(ctx, env, k); err != nil {
-			return nil, err
-		}
-		// Shards that run on their own simulators (fleet boards) set
-		// SimEvents themselves; the env kernel covers the rest.
-		parts[k].SimEvents += env.Platform.Kernel.Fired()
+	res, err := RunCampaign(ctx, []Scenario{s}, cfg, 1)
+	if err != nil {
+		return nil, err
 	}
-	rep := parts[0]
-	if s.Merge != nil {
-		var err error
-		if rep, err = s.Merge(cfg, parts); err != nil {
-			return nil, err
-		}
-		for _, p := range parts {
-			rep.SimEvents += p.SimEvents
-		}
-	}
-	rep.WallMS = float64(time.Since(t0)) / float64(time.Millisecond)
-	return rep, nil
+	return res.Reports[0], nil
 }
 
 // EnvConfig returns the configuration a given shard's Env must be built

@@ -19,7 +19,7 @@ func Run(n, workers int, fn func(i int)) { RunCounted(n, workers, nil, fn) }
 // WorkerCount is one worker's accumulated utilization: how many units
 // it claimed and how much wall-clock time it spent running them. The
 // gap between Busy and the pool's elapsed wall time is starvation —
-// the signal BENCH_parfleet.json could not previously show.
+// the signal `bash hostbench/run.sh` reports as workpool.busy_frac.
 type WorkerCount struct {
 	Tasks int64
 	Busy  time.Duration

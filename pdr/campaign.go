@@ -2,16 +2,11 @@ package pdr
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
-	"strings"
-	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/platform"
 	"repro/internal/sim"
-	"repro/internal/workpool"
 )
 
 // Re-exported campaign types.
@@ -22,7 +17,8 @@ type (
 	Scenario = experiments.Scenario
 )
 
-// Scenarios lists every registered scenario in suite order (E1…E9, A1…A5).
+// Scenarios lists every registered scenario in suite order (E1…E17,
+// A1…A5).
 func Scenarios() []Scenario { return experiments.All() }
 
 // BoardVariant selects the simulated board build a campaign runs on. Every
@@ -51,15 +47,9 @@ const (
 // ApplyBoardVariant resolves a variant into an experiments configuration —
 // the same resolution a campaign performs. Exposed for tests and tooling
 // that build experiment Envs directly.
-func ApplyBoardVariant(v BoardVariant, cfg *experiments.Config) error { return v.apply(cfg) }
-
-// apply resolves the variant against the platform registry, so the list of
-// valid names (and the error message) can never drift from the profiles
-// actually registered.
-func (v BoardVariant) apply(cfg *experiments.Config) error {
-	if _, ok := platform.Lookup(string(v)); !ok {
-		return fmt.Errorf("pdr: unknown board variant %q (registered platforms: %s)",
-			v, strings.Join(platform.Names(), ", "))
+func ApplyBoardVariant(v BoardVariant, cfg *experiments.Config) error {
+	if _, err := experiments.ProfileFor(experiments.Config{Platform: string(v)}); err != nil {
+		return err
 	}
 	cfg.Platform = string(v)
 	return nil
@@ -68,33 +58,19 @@ func (v BoardVariant) apply(cfg *experiments.Config) error {
 // CampaignOption configures NewCampaign.
 type CampaignOption func(*campaignConfig)
 
+// campaignConfig is the experiments configuration plus the two knobs that
+// shape the run rather than the results: the worker count and the scenario
+// selection.
 type campaignConfig struct {
-	seed            uint64
-	workers         int
-	ids             []string
-	variant         BoardVariant
-	freqs           []float64
-	temps           []float64
-	rates           []float64
-	fleetSizes      []int
-	router          string
-	chaosCrashes    int
-	chaosExcursions int
-	chaosGlitches   int
-	traceFile       string
-	scaler          string
-	fleetWorkers    int
-	planWorkers     int
-	planRate        float64
-	planP99MS       float64
-	planShed        float64
-	tracer          *Tracer
+	experiments.Config
+	workers int
+	ids     []string
 }
 
 // WithCampaignSeed fixes the deterministic seed (default 42, the suite's
 // reference seed).
 func WithCampaignSeed(seed uint64) CampaignOption {
-	return func(c *campaignConfig) { c.seed = seed }
+	return func(c *campaignConfig) { c.Seed = seed }
 }
 
 // WithWorkers sets the worker-pool size. Each worker owns fully independent
@@ -112,40 +88,40 @@ func WithScenarios(ids ...string) CampaignOption {
 
 // WithBoardVariant selects the simulated board build.
 func WithBoardVariant(v BoardVariant) CampaignOption {
-	return func(c *campaignConfig) { c.variant = v }
+	return func(c *campaignConfig) { c.Platform = string(v) }
 }
 
 // WithFrequencyGrid overrides the frequency axis of the grid scenarios
 // (E2, E3, E4).
 func WithFrequencyGrid(freqsMHz ...float64) CampaignOption {
-	return func(c *campaignConfig) { c.freqs = append([]float64(nil), freqsMHz...) }
+	return func(c *campaignConfig) { c.Freqs = append([]float64(nil), freqsMHz...) }
 }
 
 // WithTemperatureGrid overrides the temperature axis of the stress/power
 // scenarios (E3, E4).
 func WithTemperatureGrid(tempsC ...float64) CampaignOption {
-	return func(c *campaignConfig) { c.temps = append([]float64(nil), tempsC...) }
+	return func(c *campaignConfig) { c.Temps = append([]float64(nil), tempsC...) }
 }
 
 // WithRateGrid overrides the offered-load axis (requests/s) of the
 // saturation scenario (E11). The shard plan reshapes with the grid —
 // deterministically, independent of worker count.
 func WithRateGrid(ratesPerSec ...float64) CampaignOption {
-	return func(c *campaignConfig) { c.rates = append([]float64(nil), ratesPerSec...) }
+	return func(c *campaignConfig) { c.Rates = append([]float64(nil), ratesPerSec...) }
 }
 
 // WithFleetGrid overrides the fleet-size axis of the scale-out scenario
 // (E13). The shard plan reshapes with the grid — deterministically,
 // independent of worker count.
 func WithFleetGrid(sizes ...int) CampaignOption {
-	return func(c *campaignConfig) { c.fleetSizes = append([]int(nil), sizes...) }
+	return func(c *campaignConfig) { c.FleetSizes = append([]int(nil), sizes...) }
 }
 
 // WithFleetRouter selects the routing policy the scale-out scenario (E13)
 // serves through (default least-outstanding; see Routers). The routing
 // scenario (E14) sweeps every policy regardless.
 func WithFleetRouter(name string) CampaignOption {
-	return func(c *campaignConfig) { c.router = name }
+	return func(c *campaignConfig) { c.Router = name }
 }
 
 // WithChaosStorm reshapes the fault storm the chaos scenario (E15) replays:
@@ -155,9 +131,9 @@ func WithFleetRouter(name string) CampaignOption {
 // every routing policy still faces the identical event list.
 func WithChaosStorm(crashes, excursions, glitches int) CampaignOption {
 	return func(c *campaignConfig) {
-		c.chaosCrashes = crashes
-		c.chaosExcursions = excursions
-		c.chaosGlitches = glitches
+		c.ChaosCrashes = crashes
+		c.ChaosExcursions = excursions
+		c.ChaosGlitches = glitches
 	}
 }
 
@@ -166,14 +142,14 @@ func WithChaosStorm(crashes, excursions, glitches int) CampaignOption {
 // it from the campaign seed. The file's bytes become part of the campaign
 // configuration: identical file, identical run.
 func WithTraceFile(path string) CampaignOption {
-	return func(c *campaignConfig) { c.traceFile = path }
+	return func(c *campaignConfig) { c.TraceFile = path }
 }
 
 // WithScalerPolicy restricts the diurnal scenario (E16) to a single
 // autoscaler policy instead of comparing every policy (see
 // ScalerPolicies).
 func WithScalerPolicy(policy ScalerPolicy) CampaignOption {
-	return func(c *campaignConfig) { c.scaler = string(policy) }
+	return func(c *campaignConfig) { c.Scaler = string(policy) }
 }
 
 // WithFleetWorkers bounds the goroutines each fleet scenario's per-epoch
@@ -186,7 +162,7 @@ func WithFleetWorkers(n int) CampaignOption {
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		c.fleetWorkers = n
+		c.FleetWorkers = n
 	}
 }
 
@@ -199,27 +175,24 @@ func WithPlanWorkers(n int) CampaignOption {
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
-		c.planWorkers = n
+		c.PlanWorkers = n
 	}
 }
 
 // WithPlanRate overrides the offered load (requests/s) the planner
 // scenario (E17) plans for (default 2200).
 func WithPlanRate(ratePerSec float64) CampaignOption {
-	return func(c *campaignConfig) { c.planRate = ratePerSec }
+	return func(c *campaignConfig) { c.PlanRate = ratePerSec }
 }
 
 // WithSLO overrides the planner scenario's (E17) objective: the p99
-// sojourn bound and the maximum tolerable shed fraction. A zero (or
-// negative) value keeps that component's default (p99 ≤ 12 ms, shed ≤ 1%).
+// sojourn bound and the maximum tolerable shed fraction. A zero value
+// keeps that component's default (p99 ≤ 12 ms, shed ≤ 1%); a negative
+// one fails Run.
 func WithSLO(p99 sim.Duration, maxShed float64) CampaignOption {
 	return func(c *campaignConfig) {
-		if p99 > 0 {
-			c.planP99MS = float64(p99) / float64(sim.Millisecond)
-		}
-		if maxShed > 0 {
-			c.planShed = maxShed
-		}
+		c.PlanP99MS = float64(p99) / float64(sim.Millisecond)
+		c.PlanShed = maxShed
 	}
 }
 
@@ -230,7 +203,7 @@ func WithSLO(p99 sim.Duration, maxShed float64) CampaignOption {
 // stay byte-identical with or without it — and the tracer's exports are
 // byte-identical at every worker count. See NewTracer.
 func WithTracer(t *Tracer) CampaignOption {
-	return func(c *campaignConfig) { c.tracer = t }
+	return func(c *campaignConfig) { c.Obs = t }
 }
 
 // Campaign runs a set of registered scenarios, sharded across a pool of
@@ -244,89 +217,24 @@ type Campaign struct {
 
 // NewCampaign builds a campaign; Run executes it.
 func NewCampaign(opts ...CampaignOption) *Campaign {
-	c := &Campaign{cfg: campaignConfig{seed: 42, workers: 1}}
+	c := &Campaign{cfg: campaignConfig{Config: experiments.Config{Seed: 42}, workers: 1}}
 	for _, fn := range opts {
 		fn(&c.cfg)
 	}
 	return c
 }
 
-// CampaignResult is the deterministic outcome of a campaign run.
-type CampaignResult struct {
-	// Reports holds one merged report per selected scenario, in selection
-	// order (suite order when no WithScenarios option was given);
-	// duplicate selections are collapsed to the first occurrence.
-	Reports []*Report
-	// Seed is the campaign seed the reports were generated at.
-	Seed uint64
-	// Workers and Units record the executed schedule's shape (they do not
-	// affect Reports).
-	Workers int
-	Units   int
-	// Pool is the campaign worker pool's wall-clock utilization, one entry
-	// per worker (units claimed, busy time); Elapsed is the whole run's
-	// wall clock. Schedule facts for profiling — like Workers and Units
-	// they never affect Reports or their JSON encoding.
-	Pool    []workpool.WorkerCount
-	Elapsed time.Duration
+// CampaignResult is the deterministic outcome of a campaign run: the
+// merged reports in selection order (suite order when no WithScenarios
+// option was given; duplicate selections collapse to the first
+// occurrence), plus the schedule's shape and wall-clock utilization.
+type CampaignResult = experiments.CampaignResult
 
-	// cfg is the resolved experiments configuration, kept so Markdown's
-	// shard column reflects grid/variant overrides.
-	cfg experiments.Config
-}
-
-// Render formats every report as an aligned text table.
-func (r *CampaignResult) Render() string {
-	var b strings.Builder
-	for _, rep := range r.Reports {
-		b.WriteString(rep.Render())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// JSON renders the reports as one stable JSON document.
-func (r *CampaignResult) JSON() ([]byte, error) { return experiments.EncodeJSON(r.Reports) }
-
-// Markdown renders the reports as the EXPERIMENTS.md document.
-func (r *CampaignResult) Markdown() string {
-	return experiments.MarkdownSuite(r.Reports, r.cfg)
-}
-
-type campaignUnit struct {
-	scen  int
-	shard int
-}
-
-// Run executes the campaign. It honours ctx: cancellation aborts workers
-// between measurement points and Run returns the context's error.
+// Run executes the campaign. Every option is validated before any shard
+// starts, whether or not the selected scenarios read it. Run honours ctx:
+// cancellation aborts workers between measurement points and Run returns
+// the context's error.
 func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	ecfg := experiments.Config{
-		Seed:            c.cfg.seed,
-		Freqs:           c.cfg.freqs,
-		Temps:           c.cfg.temps,
-		Rates:           c.cfg.rates,
-		FleetSizes:      c.cfg.fleetSizes,
-		Router:          c.cfg.router,
-		ChaosCrashes:    c.cfg.chaosCrashes,
-		ChaosExcursions: c.cfg.chaosExcursions,
-		ChaosGlitches:   c.cfg.chaosGlitches,
-		TraceFile:       c.cfg.traceFile,
-		Scaler:          c.cfg.scaler,
-		FleetWorkers:    c.cfg.fleetWorkers,
-		PlanWorkers:     c.cfg.planWorkers,
-		PlanRate:        c.cfg.planRate,
-		PlanP99MS:       c.cfg.planP99MS,
-		PlanShed:        c.cfg.planShed,
-		Obs:             c.cfg.tracer,
-	}
-	if err := c.cfg.variant.apply(&ecfg); err != nil {
-		return nil, err
-	}
-
 	scens := experiments.All()
 	if len(c.cfg.ids) > 0 {
 		scens = scens[:0:0]
@@ -343,96 +251,5 @@ func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
 			scens = append(scens, s)
 		}
 	}
-
-	// The fixed shard plan: one unit per (scenario, shard), independent of
-	// the worker count.
-	var units []campaignUnit
-	parts := make([][]*Report, len(scens))
-	for si, s := range scens {
-		n := s.Shards(ecfg)
-		parts[si] = make([]*Report, n)
-		for k := 0; k < n; k++ {
-			units = append(units, campaignUnit{scen: si, shard: k})
-		}
-	}
-
-	workers := c.cfg.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	t0 := time.Now()
-	pool := &workpool.Counters{}
-	errs := make([]error, len(units))
-	workpool.RunCounted(len(units), workers, pool, func(i int) {
-		u := units[i]
-		if err := runCtx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		u0 := time.Now()
-		env, err := experiments.NewEnvWith(scens[u.scen].EnvConfig(ecfg, u.shard))
-		if err != nil {
-			errs[i] = err
-			cancel()
-			return
-		}
-		rep, err := scens[u.scen].Run(runCtx, env, u.shard)
-		if err != nil {
-			errs[i] = err
-			cancel()
-			return
-		}
-		rep.SimEvents += env.Platform.Kernel.Fired()
-		rep.WallMS = float64(time.Since(u0)) / float64(time.Millisecond)
-		parts[u.scen][u.shard] = rep
-	})
-
-	// Deterministic error selection: the lowest-index real failure wins;
-	// bare cancellations (a worker aborted because another unit failed, or
-	// the caller cancelled) only surface when nothing else went wrong.
-	var cancelled error
-	for i, err := range errs {
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if cancelled == nil {
-				cancelled = err
-			}
-			continue
-		}
-		return nil, fmt.Errorf("pdr: campaign %s shard %d: %w", scens[units[i].scen].ID, units[i].shard, err)
-	}
-	if cancelled != nil {
-		return nil, cancelled
-	}
-
-	res := &CampaignResult{Seed: c.cfg.seed, Workers: workers, Units: len(units), cfg: ecfg}
-	for si, s := range scens {
-		rep := parts[si][0]
-		if s.Merge != nil {
-			var err error
-			rep, err = s.Merge(ecfg, parts[si])
-			if err != nil {
-				return nil, fmt.Errorf("pdr: campaign %s merge: %w", s.ID, err)
-			}
-			// Merge builds a fresh report from the parts' tables; the
-			// profiling tallies fold in here (sim events sum, wall clock
-			// sums the shards' costs even when they overlapped on workers).
-			for _, p := range parts[si] {
-				rep.SimEvents += p.SimEvents
-				rep.WallMS += p.WallMS
-			}
-		}
-		res.Reports = append(res.Reports, rep)
-	}
-	res.Pool = pool.Snapshot()
-	res.Elapsed = time.Since(t0)
-	return res, nil
+	return experiments.RunCampaign(ctx, scens, c.cfg.Config, c.cfg.workers)
 }

@@ -3,6 +3,8 @@ package pdr_test
 import (
 	"context"
 	"errors"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -285,6 +287,41 @@ func TestCampaignRateGridOverride(t *testing.T) {
 	for _, row := range rep.Rows {
 		if row[1] != "50" && row[1] != "400" {
 			t.Errorf("unexpected rate in row: %v", row)
+		}
+	}
+}
+
+// TestCampaignRejectsMalformedOptionsUpFront: every malformed campaign
+// option fails Run before any shard starts — with a nil result and no
+// shard in the error — both when a selected scenario reads the knob and
+// when none does (E8 reads none of them).
+func TestCampaignRejectsMalformedOptionsUpFront(t *testing.T) {
+	absent := filepath.Join(t.TempDir(), "absent.json")
+	cases := []struct {
+		name   string
+		opt    pdr.CampaignOption
+		reader string
+	}{
+		{"negative plan rate", pdr.WithPlanRate(-1), "E17"},
+		{"zero frequency", pdr.WithFrequencyGrid(0), "E2"},
+		{"NaN frequency", pdr.WithFrequencyGrid(math.NaN()), "E2"},
+		{"negative rate", pdr.WithRateGrid(-5), "E11"},
+		{"unknown scaler", pdr.WithScalerPolicy("bogus"), "E16"},
+		{"unknown router", pdr.WithFleetRouter("bogus"), "E13"},
+		{"negative fleet size", pdr.WithFleetGrid(-1), "E13"},
+		{"temperature below absolute zero", pdr.WithTemperatureGrid(-400), "E3"},
+		{"absent trace file", pdr.WithTraceFile(absent), "E16"},
+	}
+	for _, tc := range cases {
+		for _, scen := range []string{tc.reader, "E8"} {
+			res, err := pdr.NewCampaign(pdr.WithScenarios(scen), tc.opt).Run(context.Background())
+			if err == nil {
+				t.Errorf("%s with %s: accepted", tc.name, scen)
+				continue
+			}
+			if res != nil || strings.Contains(err.Error(), "shard") {
+				t.Errorf("%s with %s: failed inside a shard, not up front (res = %v): %v", tc.name, scen, res != nil, err)
+			}
 		}
 	}
 }
