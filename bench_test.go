@@ -508,8 +508,8 @@ func benchFrames(n int) [][]uint32 {
 
 // BenchmarkBitstreamBuild measures assembling the 529 KB partial bitstream.
 func BenchmarkBitstreamBuild(b *testing.B) {
-	dev := platform.Default().NewDevice()
-	rp := platform.Default().RPs(dev)[0]
+	dev := platform.Default().Device()
+	rp := platform.Default().RPs()[0]
 	frames := benchFrames(dev.RegionFrames(rp))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -539,8 +539,8 @@ func BenchmarkConfigCRC(b *testing.B) {
 // BenchmarkCompress / BenchmarkDecompress measure the Sec.-VI RLE codec on
 // a realistic image.
 func BenchmarkCompress(b *testing.B) {
-	dev := platform.Default().NewDevice()
-	rp := platform.Default().RPs(dev)[0]
+	dev := platform.Default().Device()
+	rp := platform.Default().RPs()[0]
 	asp, err := workload.LibraryASP("fir128")
 	if err != nil {
 		b.Fatal(err)
@@ -560,8 +560,8 @@ func BenchmarkCompress(b *testing.B) {
 }
 
 func BenchmarkDecompress(b *testing.B) {
-	dev := platform.Default().NewDevice()
-	rp := platform.Default().RPs(dev)[0]
+	dev := platform.Default().Device()
+	rp := platform.Default().RPs()[0]
 	asp, err := workload.LibraryASP("fir128")
 	if err != nil {
 		b.Fatal(err)

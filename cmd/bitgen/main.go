@@ -62,9 +62,8 @@ func realMain(aspName, rpName, out string, compress bool, inspect string, all bo
 	if !ok {
 		return fmt.Errorf("unknown platform %q (want %s)", plat, platform.NameList())
 	}
-	dev := prof.NewDevice()
 	var region *fabric.Region
-	for _, r := range prof.RPs(dev) {
+	for _, r := range prof.RPs() {
 		if r.Name == rpName {
 			r := r
 			region = &r
@@ -78,7 +77,7 @@ func realMain(aspName, rpName, out string, compress bool, inspect string, all bo
 	if err != nil {
 		return err
 	}
-	bs, err := asp.Bitstream(dev, *region)
+	bs, err := asp.Bitstream(prof.Device(), *region)
 	if err != nil {
 		return err
 	}

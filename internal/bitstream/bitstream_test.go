@@ -30,8 +30,8 @@ func testFrames(n int, seed uint64) [][]uint32 {
 
 func buildStandard(t *testing.T) (*fabric.Device, fabric.Region, *Bitstream) {
 	t.Helper()
-	d := platform.Default().NewDevice()
-	rp := platform.Default().RPs(d)[0]
+	d := platform.Default().Device()
+	rp := platform.Default().RPs()[0]
 	bs, err := Build(d, rp, "asp-fir", testFrames(d.RegionFrames(rp), 1))
 	if err != nil {
 		t.Fatal(err)
@@ -91,8 +91,8 @@ func TestParseHeaderDetectsCorruption(t *testing.T) {
 }
 
 func TestBuildValidatesInput(t *testing.T) {
-	d := platform.Default().NewDevice()
-	rp := platform.Default().RPs(d)[0]
+	d := platform.Default().Device()
+	rp := platform.Default().RPs()[0]
 	if _, err := Build(d, rp, "x", testFrames(3, 1)); err == nil {
 		t.Error("wrong frame count must fail")
 	}
@@ -343,8 +343,8 @@ func TestRegAndCmdStrings(t *testing.T) {
 func TestConfigCRCMatchesBitstreamField(t *testing.T) {
 	// Replaying the builder's FDRI payload through a fresh ConfigCRC (with
 	// the same register-write sequence) must land on Bitstream.ConfigCRC.
-	d := platform.Default().NewDevice()
-	rp := platform.Default().RPs(d)[0]
+	d := platform.Default().Device()
+	rp := platform.Default().RPs()[0]
 	frames := testFrames(d.RegionFrames(rp), 5)
 	bs, err := Build(d, rp, "crc-check", frames)
 	if err != nil {

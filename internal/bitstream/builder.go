@@ -33,7 +33,10 @@ type FileHeader struct {
 const fileMagic = "ZPDRBITS"
 
 // Bitstream is a fully assembled partial bitstream plus the metadata needed
-// by loaders and by the ground-truth oracle in tests.
+// by loaders and by the ground-truth oracle in tests. Build fills every
+// field, and nothing writes one afterwards, so one image can be shared by
+// any number of boards and goroutines: treat it and every slice it holds as
+// read-only.
 type Bitstream struct {
 	Header FileHeader
 	// Raw is the complete file image (header + config words, big-endian).
@@ -46,44 +49,23 @@ type Bitstream struct {
 	// ConfigCRC is the expected running CRC at the CRC-register write.
 	ConfigCRC uint32
 
-	// words caches the decoded config-word payload: loaders stream the same
-	// ~132 K-word image thousands of times per experiment grid, and
-	// re-decoding it per load dominated the simulator's allocation profile.
-	words []uint32
-	// frameCRC lazily caches FrameCRC(Frames) for the read-back monitor.
-	frameCRC      uint32
-	frameCRCKnown bool
+	// words is the config-word payload Raw encodes; frameCRC is
+	// FrameCRC(Frames).
+	words    []uint32
+	frameCRC uint32
 }
 
 // Size returns the file image size in bytes.
 func (b *Bitstream) Size() int { return len(b.Raw) }
 
-// Words returns the config-word payload (after the file header) decoded
-// back to uint32s. The decode is cached on the Bitstream and the same slice
-// is returned on every call: treat it as read-only (loaders stream it
-// directly into the DMA model).
-func (b *Bitstream) Words() []uint32 {
-	if b.words == nil {
-		body := b.Raw[HeaderBytes:]
-		out := make([]uint32, len(body)/4)
-		for i := range out {
-			out[i] = binary.BigEndian.Uint32(body[i*4:])
-		}
-		b.words = out
-	}
-	return b.words
-}
+// Words returns the config-word payload (after the file header) as
+// uint32s: the words Build serialised into Raw, which loaders stream into
+// the DMA model. The slice is shared: treat it as read-only.
+func (b *Bitstream) Words() []uint32 { return b.words }
 
-// FrameCRC returns the detached checksum of the frame payload (the golden
-// reference the CRC read-back monitor compares against), computed once and
-// cached.
-func (b *Bitstream) FrameCRC() uint32 {
-	if !b.frameCRCKnown {
-		b.frameCRC = FrameCRC(b.Frames)
-		b.frameCRCKnown = true
-	}
-	return b.frameCRC
-}
+// FrameCRC returns the detached checksum of the frame payload: the golden
+// reference the CRC read-back monitor compares against, computed by Build.
+func (b *Bitstream) FrameCRC() uint32 { return b.frameCRC }
 
 // Build assembles a partial bitstream that configures region r of device dev
 // with the given frames (len must equal dev.RegionFrames(r)).
@@ -187,9 +169,8 @@ func Build(dev *fabric.Device, r fabric.Region, name string, frames [][]uint32) 
 		Start:     start,
 		Frames:    frames,
 		ConfigCRC: expectCRC,
-		// The assembled word image is exactly what Words() would decode
-		// back out of Raw; keep it so loaders never re-decode.
-		words: words,
+		words:     words,
+		frameCRC:  FrameCRC(frames),
 	}, nil
 }
 

@@ -159,7 +159,7 @@ func deriveSeed(seed uint64, index int) uint64 {
 // CommonRPs resolves the servable RP set of a board list — the partitions
 // every board's platform has, in first-board plan order — straight from
 // the profile registry, without booting anything. A trace over these can
-// be routed to any board.
+// be routed to any board. The result is a new slice the caller owns.
 func CommonRPs(specs []BoardSpec) ([]string, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("cluster: fleet needs at least one board")
@@ -173,7 +173,8 @@ func CommonRPs(specs []BoardSpec) ([]string, error) {
 		}
 		names := prof.RPNames()
 		if i == 0 {
-			common = names
+			// Copied: the profile's names are shared and the filter writes in place.
+			common = append([]string(nil), names...)
 			continue
 		}
 		has := make(map[string]bool, len(names))
@@ -260,8 +261,7 @@ func newBoard(cfg FleetConfig, spec BoardSpec, index int) (*board, error) {
 	if err != nil {
 		return nil, err
 	}
-	dev := prof.NewDevice()
-	image := int64(bitstream.ExpectedSize(dev.RegionFrames(prof.RPs(dev)[0])))
+	image := int64(bitstream.ExpectedSize(prof.Device().RegionFrames(prof.RPs()[0])))
 	budget := cfg.Service.CacheBudgetBytes
 	switch {
 	case cfg.Service.CacheBudgetImages > 0:

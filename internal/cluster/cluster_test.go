@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fabric"
+	"repro/internal/platform"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -142,6 +144,46 @@ func TestFleetDeterministicAcrossRuns(t *testing.T) {
 		}
 		if a, b := run(), run(); !reflect.DeepEqual(a, b) {
 			t.Errorf("%s: mixed-fleet runs diverge", router)
+		}
+	}
+}
+
+// TestCommonRPsLeavesProfilesUntouched pins that CommonRPs returns a slice
+// of its own: the profiles' RP names and plans are shared by every caller,
+// so neither the intersection nor a caller writing into the result may
+// reach them.
+func TestCommonRPsLeavesProfilesUntouched(t *testing.T) {
+	zed := platform.Default()
+	zybo, _ := platform.Lookup("zybo-z7-10")
+	profs := []*platform.Profile{zed, zybo}
+	names := make([][]string, len(profs))
+	rps := make([][]fabric.Region, len(profs))
+	for i, p := range profs {
+		names[i] = append([]string(nil), p.RPNames()...)
+		rps[i] = append([]fabric.Region(nil), p.RPs()...)
+	}
+	for _, fleet := range [][]BoardSpec{
+		{{Platform: "zedboard"}, {Platform: "zybo-z7-10"}},
+		{{Platform: "zybo-z7-10"}, {Platform: "zedboard"}},
+		{{Platform: "zedboard"}},
+	} {
+		common, err := CommonRPs(fleet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(fleet) == 2 && !reflect.DeepEqual(common, []string{"RP1", "RP2", "RP3"}) {
+			t.Errorf("%v: common RPs = %v", fleet, common)
+		}
+		for i := range common {
+			common[i] = "clobbered"
+		}
+	}
+	for i, p := range profs {
+		if !reflect.DeepEqual(p.RPNames(), names[i]) {
+			t.Errorf("%s: RPNames() = %v after CommonRPs, want %v", p.Name, p.RPNames(), names[i])
+		}
+		if !reflect.DeepEqual(p.RPs(), rps[i]) {
+			t.Errorf("%s: RPs() = %v after CommonRPs, want %v", p.Name, p.RPs(), rps[i])
 		}
 	}
 }

@@ -163,8 +163,8 @@ func (c *Controller) Load(rpName string, bs *bitstream.Bitstream) (Result, error
 	// CRC read-back verdict: install the golden reference and let the
 	// monitor scan. When the monitor's interrupt is lost (over-clocked
 	// control path), poll its status register instead — the paper's
-	// "CRC valid / not valid" column was obtained both ways. The bitstream
-	// caches its golden CRC, so repeated loads skip the recompute.
+	// "CRC valid / not valid" column was obtained both ways. The golden CRC
+	// is computed once, when the bitstream is built.
 	mon.SetGoldenCRC(bs.FrameCRC())
 	var verdict *crcmon.Result
 	mon.OnResult = func(r crcmon.Result) {

@@ -102,8 +102,8 @@ func (m *Monitor) SetGolden(frames [][]uint32) {
 	m.SetGoldenCRC(bitstream.FrameCRC(frames))
 }
 
-// SetGoldenCRC installs a precomputed reference CRC (bitstreams cache
-// theirs, so repeated loads of the same image skip the recompute).
+// SetGoldenCRC installs a precomputed reference CRC (a bitstream carries
+// its own, computed when it is built, so loads skip the recompute).
 func (m *Monitor) SetGoldenCRC(crc uint32) {
 	m.golden = crc
 	m.hasGolden = true

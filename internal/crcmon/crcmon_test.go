@@ -27,7 +27,7 @@ func newRig(t *testing.T, freq sim.Hz) *rig {
 	r := &rig{
 		kernel: sim.NewKernel(),
 		domain: clock.NewDomain("icap", freq),
-		dev:    platform.Default().NewDevice(),
+		dev:    platform.Default().Device(),
 		tempC:  40,
 	}
 	r.mem = fabric.NewMemory(r.dev)
@@ -40,7 +40,7 @@ func newRig(t *testing.T, freq sim.Hz) *rig {
 		TempC:  func() float64 { return r.tempC },
 		Seed:   2,
 	})
-	r.rp = platform.Default().RPs(r.dev)[0]
+	r.rp = platform.Default().RPs()[0]
 	r.mon = New(Config{
 		Kernel: r.kernel,
 		Port:   r.port,

@@ -385,15 +385,6 @@ func NewEnvWith(cfg Config) (*Env, error) {
 	return &Env{Platform: p, Controller: c, Bitstream: bs, Cfg: cfg}, nil
 }
 
-// secondBitstream returns a second bitstream (the paper's SD card carried two).
-func (e *Env) secondBitstream() (*bitstream.Bitstream, error) {
-	asp, err := workload.LibraryASP("sha3")
-	if err != nil {
-		return nil, err
-	}
-	return asp.Bitstream(e.Platform.Device, e.Platform.RPs[0])
-}
-
 func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func f0(v float64) string  { return fmt.Sprintf("%.0f", v) }
 func mhz(v float64) string { return fmt.Sprintf("%.0f", v) }
@@ -409,6 +400,5 @@ func validity(ok bool) string {
 // buildFor builds a standard-size bitstream for an arbitrary region (used
 // by SecVI and the ablations).
 func buildFor(p *zynq.Platform, rp fabric.Region, name string, seed uint64) (*bitstream.Bitstream, error) {
-	asp := workload.ASP{Name: name, FillFraction: 0.55, Seed: seed}
-	return bitstream.Build(p.Device, rp, name, asp.Frames(p.Device, rp))
+	return workload.ASP{Name: name, FillFraction: 0.55, Seed: seed}.Bitstream(p.Device, rp)
 }

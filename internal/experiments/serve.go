@@ -314,8 +314,7 @@ func schedBudgets(prof *platform.Profile) []struct {
 	label string
 	bytes int64
 } {
-	dev := prof.NewDevice()
-	image := int64(bitstream.ExpectedSize(dev.RegionFrames(prof.RPs(dev)[0])))
+	image := int64(bitstream.ExpectedSize(prof.Device().RegionFrames(prof.RPs()[0])))
 	return []struct {
 		label string
 		bytes int64

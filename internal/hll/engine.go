@@ -84,7 +84,8 @@ func newEngine(ctrl *core.Controller, cacheBudget int64, stageRate float64) *eng
 // acquire returns the ASP's image for the RP, staging it into the DRAM
 // cache on a miss. Staging costs simulated time at the backing-store rate
 // (the SD card the paper boots bitstreams from); a DRAM hit costs nothing
-// extra — the DMA streams it straight to the ICAP.
+// extra — the DMA streams it straight to the ICAP. The cache is simulated
+// hardware: it pins pointers to the shared images ASP.Bitstream returns.
 func (e *engine) acquire(asp workload.ASP, st *rpState) (*bitstream.Bitstream, error) {
 	key := asp.Name + "@" + st.region.Name
 	if bs, ok := e.cache.Get(key); ok {

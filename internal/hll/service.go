@@ -576,12 +576,15 @@ func (s *Service) repair(st *rpState, asp workload.ASP) error {
 		if bu := p.ICAP.BusyUntil(); bu > k.Now() {
 			k.RunUntil(bu)
 		}
-		golden := asp.Frames(p.Device, st.region)
+		// The shared image's frames, read without acquire's staging time.
+		img, err := asp.Bitstream(p.Device, st.region)
+		if err != nil {
+			return err
+		}
 		var (
 			rep  scrub.Report
 			rerr error
 			fin  bool
-			err  error
 		)
 		sc := scrub.New(k, p.ICAP)
 		deliver := func(r scrub.Report, err error) {
@@ -591,9 +594,9 @@ func (s *Service) repair(st *rpState, asp workload.ASP) error {
 		// suspect frames are read, rewritten, and verified. Without it (a
 		// hand-raised alarm) the scrubber sweeps the whole region.
 		if len(st.suspect) > 0 {
-			err = sc.ScrubFrames(st.region, golden, st.suspect, deliver)
+			err = sc.ScrubFrames(st.region, img.Frames, st.suspect, deliver)
 		} else {
-			err = sc.Scrub(st.region, golden, deliver)
+			err = sc.Scrub(st.region, img.Frames, deliver)
 		}
 		if err != nil {
 			return err

@@ -25,7 +25,7 @@ func newRig(t *testing.T, freq sim.Hz) *rig {
 	r := &rig{
 		kernel: sim.NewKernel(),
 		domain: clock.NewDomain("icap", freq),
-		dev:    platform.Default().NewDevice(),
+		dev:    platform.Default().Device(),
 		tempC:  40,
 	}
 	r.mem = fabric.NewMemory(r.dev)
@@ -57,7 +57,7 @@ func makeFrames(n int, seed uint64) [][]uint32 {
 
 func buildFor(t *testing.T, r *rig, rpIdx int, seed uint64) *bitstream.Bitstream {
 	t.Helper()
-	rp := platform.Default().RPs(r.dev)[rpIdx]
+	rp := platform.Default().RPs()[rpIdx]
 	bs, err := bitstream.Build(r.dev, rp, "test-asp", makeFrames(r.dev.RegionFrames(rp), seed))
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,7 @@ func TestLoadWritesAllFramesAndRaisesDone(t *testing.T) {
 	if done.FramesWritten != 1308 {
 		t.Errorf("FramesWritten = %d, want 1308", done.FramesWritten)
 	}
-	rp := platform.Default().RPs(r.dev)[0]
+	rp := platform.Default().RPs()[0]
 	eq, err := r.mem.RegionEqual(rp, bs.Frames)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +162,7 @@ func TestHangSuppressesDoneButDataLands(t *testing.T) {
 	if r.port.Status().Done {
 		t.Error("Done latched despite hang")
 	}
-	rp := platform.Default().RPs(r.dev)[0]
+	rp := platform.Default().RPs()[0]
 	eq, err := r.mem.RegionEqual(rp, bs.Frames)
 	if err != nil {
 		t.Fatal(err)
@@ -179,7 +179,7 @@ func TestCorruptionAt320MHz(t *testing.T) {
 	bs := buildFor(t, r, 0, 11)
 	r.port.Reset()
 	feedAll(r, bs)
-	rp := platform.Default().RPs(r.dev)[0]
+	rp := platform.Default().RPs()[0]
 	eq, err := r.mem.RegionEqual(rp, bs.Frames)
 	if err != nil {
 		t.Fatal(err)
@@ -199,7 +199,7 @@ func TestCorruptionAt310MHzAnd100C(t *testing.T) {
 	bs := buildFor(t, r, 0, 12)
 	r.port.Reset()
 	feedAll(r, bs)
-	rp := platform.Default().RPs(r.dev)[0]
+	rp := platform.Default().RPs()[0]
 	eq, err := r.mem.RegionEqual(rp, bs.Frames)
 	if err != nil {
 		t.Fatal(err)
@@ -285,7 +285,7 @@ func TestBackToBackLoadsDifferentRPs(t *testing.T) {
 	feedAll(r, bs1)
 	r.port.Reset()
 	feedAll(r, bs2)
-	rps := platform.Default().RPs(r.dev)
+	rps := platform.Default().RPs()
 	eq1, _ := r.mem.RegionEqual(rps[0], bs1.Frames)
 	eq2, _ := r.mem.RegionEqual(rps[1], bs2.Frames)
 	if !eq1 || !eq2 {
@@ -298,7 +298,7 @@ func TestReadbackReturnsWrittenFrames(t *testing.T) {
 	bs := buildFor(t, r, 0, 17)
 	r.port.Reset()
 	feedAll(r, bs)
-	rp := platform.Default().RPs(r.dev)[0]
+	rp := platform.Default().RPs()[0]
 	var got [][]uint32
 	start := r.kernel.Now()
 	r.port.Readback(rp.RegionStart(), 10, func(frames [][]uint32, err error) {
@@ -351,7 +351,7 @@ func TestDeterministicCorruptionPattern(t *testing.T) {
 		bs := buildFor(t, r, 0, 18)
 		r.port.Reset()
 		feedAll(r, bs)
-		rp := platform.Default().RPs(r.dev)[0]
+		rp := platform.Default().RPs()[0]
 		idx, err := r.mem.RegionFrameIndices(rp)
 		if err != nil {
 			t.Fatal(err)
@@ -383,7 +383,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if !st.Done || st.CRCError || st.SyncError || st.FramesWritten != 1308 {
 			return false
 		}
-		rp := platform.Default().RPs(r.dev)[int(seed%4)]
+		rp := platform.Default().RPs()[int(seed%4)]
 		eq, err := r.mem.RegionEqual(rp, bs.Frames)
 		return err == nil && eq
 	}
@@ -415,7 +415,7 @@ func TestBurstSizeInvariance(t *testing.T) {
 		}
 		pump()
 		r.kernel.Run()
-		rp := platform.Default().RPs(r.dev)[0]
+		rp := platform.Default().RPs()[0]
 		idx, err := r.mem.RegionFrameIndices(rp)
 		if err != nil {
 			t.Fatal(err)

@@ -204,8 +204,7 @@ func (s *Surrogate) point(prof *platform.Profile, freqMHz float64, wi WhatIf) bo
 	if pt, ok := s.points[key]; ok {
 		return pt
 	}
-	dev := prof.NewDevice()
-	image := float64(bitstream.ExpectedSize(dev.RegionFrames(prof.RPs(dev)[0])))
+	image := float64(bitstream.ExpectedSize(prof.Device().RegionFrames(prof.RPs()[0])))
 	xfer := math.Min(4*freqMHz, prof.MemoryPlateauMBs(freqMHz)) // MB/s, stream vs memory side
 	if wi.XferMBs > 0 {
 		xfer = wi.XferMBs

@@ -123,6 +123,12 @@ type Profile struct {
 	// analytic latency model (DMA programming, descriptor fetch/decode, IRQ
 	// dispatch) in microseconds.
 	AnalyticFixedUS float64
+
+	// device, rps and rpNames are the geometry Register derives from Fabric
+	// and Part; see Device, RPs and RPNames.
+	device  *fabric.Device
+	rps     []fabric.Region
+	rpNames []string
 }
 
 // Validate checks the profile for the invariants the construction paths
@@ -162,33 +168,19 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// NewDevice builds the part's configuration plane.
-func (p *Profile) NewDevice() *fabric.Device {
-	return fabric.NewDevice(fabric.Geometry{
-		Name:   p.Part,
-		IDCode: p.Fabric.IDCode,
-		Rows:   p.Fabric.Rows,
-		Tiles:  p.Fabric.Tiles,
-	})
-}
+// Device returns the part's configuration plane, built once by Register
+// and shared by every board, planner and tool using the profile (presets of
+// the same part and fabric share one). It is frozen: do not mutate it.
+func (p *Profile) Device() *fabric.Device { return p.device }
 
-// RPs returns the profile's reconfigurable-partition plan on a device built
-// from it.
-func (p *Profile) RPs(d *fabric.Device) []fabric.Region {
-	return fabric.TiledRPs(d, p.Fabric.RPTiles)
-}
+// RPs returns the profile's reconfigurable-partition plan on Device(),
+// built once by Register. The slice is shared: do not mutate it.
+func (p *Profile) RPs() []fabric.Region { return p.rps }
 
-// RPNames lists the partition names of the profile's RP plan (RP1…RPn), by
-// construction in the plan's order — the single source of truth is
-// fabric.TiledRPs, so the names can never drift from the regions.
-func (p *Profile) RPNames() []string {
-	rps := p.RPs(p.NewDevice())
-	out := make([]string, len(rps))
-	for i, rp := range rps {
-		out[i] = rp.Name
-	}
-	return out
-}
+// RPNames lists the partition names of the RP plan (RP1…RPn) in the plan's
+// order, derived from RPs() by Register so they can never drift from the
+// regions. The slice is shared: do not mutate it.
+func (p *Profile) RPNames() []string { return p.rpNames }
 
 // TimingModel returns a private copy of the part's timing model (callers
 // mutate derating state freely without aliasing the registry).

@@ -97,14 +97,14 @@ func TestZedBoardReproducesSeedCalibration(t *testing.T) {
 
 func TestZedBoardGeometry(t *testing.T) {
 	p := Default()
-	d := p.NewDevice()
+	d := p.Device()
 	if d.Name != "xc7z020" || d.IDCode != 0x03727093 {
 		t.Errorf("device = %s/%#x", d.Name, d.IDCode)
 	}
 	if d.TotalFrames() != 8100 {
 		t.Errorf("TotalFrames = %d, want 8100", d.TotalFrames())
 	}
-	rps := p.RPs(d)
+	rps := p.RPs()
 	if len(rps) != 4 {
 		t.Fatalf("RPs = %d, want 4", len(rps))
 	}
@@ -126,8 +126,8 @@ func TestZedBoardGeometry(t *testing.T) {
 
 func TestNewBoardsGeometry(t *testing.T) {
 	zybo, _ := Lookup("zybo-z7-10")
-	d := zybo.NewDevice()
-	rps := zybo.RPs(d)
+	d := zybo.Device()
+	rps := zybo.RPs()
 	if len(rps) != 3 {
 		t.Fatalf("zybo RPs = %d, want 3", len(rps))
 	}
@@ -137,8 +137,8 @@ func TestNewBoardsGeometry(t *testing.T) {
 		}
 	}
 	zc, _ := Lookup("zc706")
-	d = zc.NewDevice()
-	rps = zc.RPs(d)
+	d = zc.Device()
+	rps = zc.RPs()
 	if len(rps) != 7 {
 		t.Fatalf("zc706 RPs = %d, want 7", len(rps))
 	}

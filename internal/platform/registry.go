@@ -3,6 +3,8 @@ package platform
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/fabric"
 )
 
 var (
@@ -10,15 +12,33 @@ var (
 	byName   = make(map[string]*Profile)
 )
 
-// Register adds a profile to the package registry. It panics on a duplicate
-// name or an invalid profile — registration happens at init, so a panic is a
-// build-time programming error, not a runtime one.
+// Register adds a profile to the package registry and builds its device,
+// RP plan and RP names once. A profile with the same part and fabric as an
+// earlier one shares that one's geometry, so artefacts keyed by device are
+// built once per geometry. It panics on a duplicate name or an invalid
+// profile — registration happens at init, so a panic is a build-time
+// programming error, not a runtime one.
 func Register(p *Profile) {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
 	if _, dup := byName[p.Name]; dup {
 		panic(fmt.Sprintf("platform: duplicate profile %q", p.Name))
+	}
+	for _, q := range registry {
+		if q.Part == p.Part && q.Fabric == p.Fabric {
+			p.device, p.rps, p.rpNames = q.device, q.rps, q.rpNames
+			break
+		}
+	}
+	if p.device == nil {
+		p.device = fabric.NewDevice(fabric.Geometry{
+			Name: p.Part, IDCode: p.Fabric.IDCode, Rows: p.Fabric.Rows, Tiles: p.Fabric.Tiles,
+		})
+		p.rps = fabric.TiledRPs(p.device, p.Fabric.RPTiles)
+		for _, rp := range p.rps {
+			p.rpNames = append(p.rpNames, rp.Name)
+		}
 	}
 	byName[p.Name] = p
 	registry = append(registry, p)

@@ -115,8 +115,8 @@ func TestUnboundedQueueNeverSheds(t *testing.T) {
 func buildImages(t *testing.T, n int) []*bitstream.Bitstream {
 	t.Helper()
 	prof := platform.Default()
-	dev := prof.NewDevice()
-	rp := prof.RPs(dev)[0]
+	dev := prof.Device()
+	rp := prof.RPs()[0]
 	out := make([]*bitstream.Bitstream, n)
 	for i := range out {
 		asp := workload.ASP{Name: "img", FillFraction: 0.5, Seed: uint64(i + 1)}

@@ -21,7 +21,7 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	r := &rig{kernel: sim.NewKernel(), dev: platform.Default().NewDevice()}
+	r := &rig{kernel: sim.NewKernel(), dev: platform.Default().Device()}
 	r.mem = fabric.NewMemory(r.dev)
 	r.port = icap.New(icap.Config{
 		Kernel: r.kernel,
@@ -30,7 +30,7 @@ func newRig(t *testing.T) *rig {
 		Timing: platform.Default().TimingModel(),
 		Seed:   3,
 	})
-	r.rp = platform.Default().RPs(r.dev)[0]
+	r.rp = platform.Default().RPs()[0]
 
 	// Configure the region directly with a golden image.
 	rng := sim.NewRNG(77)

@@ -21,7 +21,7 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
-	r := &rig{kernel: sim.NewKernel(), dev: platform.Default().NewDevice()}
+	r := &rig{kernel: sim.NewKernel(), dev: platform.Default().Device()}
 	r.mem = fabric.NewMemory(r.dev)
 	sys, err := New(Config{
 		Kernel: r.kernel,
@@ -43,7 +43,7 @@ func (r *rig) aspBitstream(t *testing.T, name string, rpIdx int) (*bitstream.Bit
 	if err != nil {
 		t.Fatal(err)
 	}
-	rp := platform.Default().RPs(r.dev)[rpIdx]
+	rp := platform.Default().RPs()[rpIdx]
 	bs, err := asp.Bitstream(r.dev, rp)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ package workload
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/bitstream"
 	"repro/internal/fabric"
@@ -89,9 +90,31 @@ func (a ASP) Frames(dev *fabric.Device, rp fabric.Region) [][]uint32 {
 	return frames
 }
 
-// Bitstream builds the ASP's partial bitstream for the region.
+// images is the process-wide table behind ASP.Bitstream: imageKey → *image.
+var images sync.Map
+
+type imageKey struct {
+	dev *fabric.Device
+	rp  fabric.Region
+	asp ASP
+}
+
+type image struct {
+	once sync.Once
+	bs   *bitstream.Bitstream
+	err  error
+}
+
+// Bitstream returns the ASP's partial bitstream for the region. There is
+// one image per (device, region, ASP) in the process: the first call builds
+// it under a per-key once, and every later call, on any goroutine, returns
+// the same pointer. The image is shared and frozen: do not mutate it or any
+// slice it holds.
 func (a ASP) Bitstream(dev *fabric.Device, rp fabric.Region) (*bitstream.Bitstream, error) {
-	return bitstream.Build(dev, rp, a.Name, a.Frames(dev, rp))
+	v, _ := images.LoadOrStore(imageKey{dev, rp, a}, new(image))
+	img := v.(*image)
+	img.once.Do(func() { img.bs, img.err = bitstream.Build(dev, rp, a.Name, a.Frames(dev, rp)) })
+	return img.bs, img.err
 }
 
 // Request is one entry of a reconfiguration trace: at time At, partition RP

@@ -1,7 +1,9 @@
 package workload
 
 import (
+	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bitstream"
@@ -39,8 +41,8 @@ func TestLibraryASPLookup(t *testing.T) {
 }
 
 func TestFramesMatchRegionAndAreDeterministic(t *testing.T) {
-	dev := platform.Default().NewDevice()
-	rp := platform.Default().RPs(dev)[0]
+	dev := platform.Default().Device()
+	rp := platform.Default().RPs()[0]
 	asp, _ := LibraryASP("aes-gcm")
 	f1 := asp.Frames(dev, rp)
 	f2 := asp.Frames(dev, rp)
@@ -57,8 +59,8 @@ func TestFramesMatchRegionAndAreDeterministic(t *testing.T) {
 }
 
 func TestFramesDifferAcrossASPsAndRPs(t *testing.T) {
-	dev := platform.Default().NewDevice()
-	rps := platform.Default().RPs(dev)
+	dev := platform.Default().Device()
+	rps := platform.Default().RPs()
 	a, _ := LibraryASP("fir128")
 	b, _ := LibraryASP("sha3")
 	ca := bitstream.FrameCRC(a.Frames(dev, rps[0]))
@@ -73,8 +75,8 @@ func TestFramesDifferAcrossASPsAndRPs(t *testing.T) {
 }
 
 func TestBitstreamBuildsAtCalibratedSize(t *testing.T) {
-	dev := platform.Default().NewDevice()
-	rp := platform.Default().RPs(dev)[0]
+	dev := platform.Default().Device()
+	rp := platform.Default().RPs()[0]
 	for _, asp := range Library() {
 		bs, err := asp.Bitstream(dev, rp)
 		if err != nil {
@@ -86,9 +88,51 @@ func TestBitstreamBuildsAtCalibratedSize(t *testing.T) {
 	}
 }
 
+// TestBitstreamIsSharedAndFrozen pins the image table: concurrent callers
+// asking for the same (device, RP, ASP) all get one image, whose words and
+// golden CRC Build filled in and which agree with Raw and Frames.
+func TestBitstreamIsSharedAndFrozen(t *testing.T) {
+	dev := platform.Default().Device()
+	rp := platform.Default().RPs()[1]
+	asp, _ := LibraryASP("fft1k")
+	got := make([]*bitstream.Bitstream, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			bs, err := asp.Bitstream(dev, rp)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = bs
+		}(i)
+	}
+	wg.Wait()
+	for i, bs := range got {
+		if bs == nil || bs != got[0] {
+			t.Fatalf("goroutine %d got image %p, goroutine 0 got %p", i, bs, got[0])
+		}
+	}
+	bs := got[0]
+	body := bs.Raw[bitstream.HeaderBytes:]
+	words := bs.Words()
+	if len(words) != len(body)/4 {
+		t.Fatalf("Words() = %d words, Raw holds %d", len(words), len(body)/4)
+	}
+	for i, w := range words {
+		if want := binary.BigEndian.Uint32(body[4*i:]); w != want {
+			t.Fatalf("word %d = %#x, Raw decodes to %#x", i, w, want)
+		}
+	}
+	if got, want := bs.FrameCRC(), bitstream.FrameCRC(bs.Frames); got != want {
+		t.Errorf("FrameCRC() = %#x, FrameCRC(Frames) = %#x", got, want)
+	}
+}
+
 func TestFillFractionDrivesCompressibility(t *testing.T) {
-	dev := platform.Default().NewDevice()
-	rp := platform.Default().RPs(dev)[0]
+	dev := platform.Default().Device()
+	rp := platform.Default().RPs()[0]
 	sparse := ASP{Name: "sparse", FillFraction: 0.3, Seed: 1}
 	dense := ASP{Name: "dense", FillFraction: 0.9, Seed: 2}
 	ratio := func(a ASP) float64 {

@@ -156,14 +156,14 @@ func NewPlatform(opts Options) (*Platform, error) {
 		opts.NominalMHz = prof.Clock.NominalMHz
 	}
 	k := sim.NewKernel()
-	dev := prof.NewDevice()
+	dev := prof.Device()
 	p := &Platform{
 		Kernel:   k,
 		PS:       NewPS(k, prof.PS),
 		Profile:  prof,
 		Device:   dev,
 		Memory:   fabric.NewMemory(dev),
-		RPs:      prof.RPs(dev),
+		RPs:      prof.RPs(),
 		Timing:   prof.TimingModel(),
 		Monitors: make(map[string]*crcmon.Monitor),
 	}

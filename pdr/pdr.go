@@ -143,7 +143,6 @@ type System struct {
 	Controller *core.Controller
 
 	meter    *power.Meter
-	bsCache  map[string]*bitstream.Bitstream
 	sramInit bool
 	serves   int // Serve ordinal, keys ServeOptions.Tracer's fleets
 }
@@ -177,7 +176,6 @@ func NewSystem(opts ...Option) (*System, error) {
 		Board:      b,
 		Controller: core.New(p),
 		meter:      b.Meter,
-		bsCache:    make(map[string]*bitstream.Bitstream),
 	}, nil
 }
 
@@ -187,12 +185,10 @@ func (s *System) Platform() *zynq.Platform { return s.Controller.Platform() }
 // ASPs lists the workload library.
 func (s *System) ASPs() []ASP { return workload.Library() }
 
-// BuildBitstream synthesises the ASP's partial bitstream for an RP.
+// BuildBitstream returns the ASP's partial bitstream for an RP: the one
+// image per (device, RP, ASP) that workload.ASP.Bitstream builds on first
+// use and shares with every board. It is shared: do not mutate it.
 func (s *System) BuildBitstream(rp, asp string) (*Bitstream, error) {
-	key := asp + "@" + rp
-	if bs, ok := s.bsCache[key]; ok {
-		return bs, nil
-	}
 	region, err := s.Platform().RP(rp)
 	if err != nil {
 		return nil, err
@@ -201,12 +197,7 @@ func (s *System) BuildBitstream(rp, asp string) (*Bitstream, error) {
 	if err != nil {
 		return nil, err
 	}
-	bs, err := a.Bitstream(s.Platform().Device, region)
-	if err != nil {
-		return nil, err
-	}
-	s.bsCache[key] = bs
-	return bs, nil
+	return a.Bitstream(s.Platform().Device, region)
 }
 
 // SetFrequencyMHz re-programs the over-clock domain (costs the MMCM lock
