@@ -65,29 +65,34 @@ func BenchmarkTableI_FrequencySweep(b *testing.B) {
 // pdrbench and EXPERIMENTS.md use, so all consumers report one number.
 func benchScenario(b *testing.B, id string) *experiments.Report {
 	b.Helper()
-	return benchFleetScenario(b, id, 0)
+	return benchFleetScenario(b, id, 1)
 }
 
-// benchFleetScenario is benchScenario with the fleet scenarios' epoch
-// fan-out width applied (0/1 = the sequential loop). Output is
-// byte-identical at every width, so the sub-benchmarks measure pure wall
-// clock against one fixed workload.
-func benchFleetScenario(b *testing.B, id string, fleetWorkers int) *experiments.Report {
+// benchFleetScenario is benchScenario with each shard's fleet epochs fanned
+// out over inner workers: a campaign budget of inner × units (≤ 1 = a
+// budget of 1, the sequential loop). Output is byte-identical at every
+// width, so the sub-benchmarks measure pure wall clock against one fixed
+// workload.
+func benchFleetScenario(b *testing.B, id string, inner int) *experiments.Report {
 	b.Helper()
 	s, ok := experiments.Lookup(id)
 	if !ok {
 		b.Fatalf("scenario %s not registered", id)
 	}
-	cfg := experiments.Config{Seed: 42, FleetWorkers: fleetWorkers}
-	rep, err := experiments.RunSequential(context.Background(), s, cfg)
+	cfg := experiments.Config{Seed: 42}
+	budget := 1
+	if inner > 1 {
+		budget = inner * s.Shards(cfg)
+	}
+	res, err := experiments.RunCampaign(context.Background(), []experiments.Scenario{s}, cfg, budget)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return rep
+	return res.Reports[0]
 }
 
-// fleetBenchWorkers is the worker axis the fleet-scenario benchmarks sweep
-// (`bash hostbench/run.sh` tracks the same scenarios as
+// fleetBenchWorkers is the per-shard fleet-worker axis the fleet-scenario
+// benchmarks sweep (`bash hostbench/run.sh` tracks the same scenarios as
 // experiments.E13/E15/E16.wall_ms).
 var fleetBenchWorkers = []int{1, 4, 8}
 

@@ -8,11 +8,11 @@
 //	pdrbench                      # run the full E1–A5 suite sequentially
 //	pdrbench -run E1,E3           # a subset, by ID or legacy alias
 //	pdrbench -platform zc706      # run on another registered platform
-//	pdrbench -parallel 4          # shard the suite over 4 workers
-//	                              # (output is byte-identical to -parallel 1)
+//	pdrbench -parallel 4          # a budget of 4 workers, split top-down:
+//	                              # shards first, then each shard's fleet
+//	                              # epochs or planner simulations (output
+//	                              # is byte-identical to -parallel 1)
 //	pdrbench -parallel 0          # one worker per CPU
-//	pdrbench -fleet-workers 8     # fan each fleet epoch out over 8 goroutines
-//	                              # (0 = one per CPU; output is byte-identical)
 //	pdrbench -fleet 1,2,4         # reshape the E13 fleet-size axis
 //	pdrbench -router affinity     # E13 routing policy
 //	pdrbench -chaos-crashes 3     # reshape the E15 fault storm
@@ -21,14 +21,14 @@
 //	pdrbench -run E16 -trace-out day.json   # persist the E16 arrival stream
 //	pdrbench -run E16 -trace-in day.json    # replay a recorded stream
 //	pdrbench -run E16 -scaler predictive    # one autoscaler policy only
-//	pdrbench -run E17 -plan-workers 4       # fan the planner's verifying
-//	                              # simulations out (output is byte-identical)
+//	pdrbench -run E17 -parallel 4           # one shard, so the planner's
+//	                              # verifying simulations get all 4
 //	pdrbench -run E17 -plan-rate 2800 -plan-p99 10 -plan-shed 0.005
 //	                              # re-plan for another load/SLO point
 //	pdrbench -run E13 -trace-events e13.json  # export request spans and
 //	                              # control-plane events as Chrome trace-
 //	                              # event JSON (Perfetto-loadable; bytes
-//	                              # are identical at any -fleet-workers)
+//	                              # are identical at any -parallel)
 //	pdrbench -run E13 -metrics-out m.json     # sim-time metric series
 //	                              # (queue depths, watts, shed; .csv for CSV)
 //	pdrbench -pprof localhost:6060            # wall-clock pprof endpoints
@@ -65,7 +65,6 @@ type options struct {
 	run             string
 	platform        string
 	parallel        int
-	fleetWorkers    int
 	seed            uint64
 	jsonOut         bool
 	mdOut           bool
@@ -79,7 +78,6 @@ type options struct {
 	traceIn         string
 	traceOut        string
 	scaler          string
-	planWorkers     int
 	planRate        float64
 	planP99         float64
 	planShed        float64
@@ -92,8 +90,7 @@ func main() {
 	var opts options
 	flag.StringVar(&opts.run, "run", "all", "comma-separated scenario IDs or aliases (see -list)")
 	flag.StringVar(&opts.platform, "platform", "", "platform profile to run on (default zedboard; see -list)")
-	flag.IntVar(&opts.parallel, "parallel", 1, "campaign workers (0 = one per CPU)")
-	flag.IntVar(&opts.fleetWorkers, "fleet-workers", 1, "goroutines per fleet epoch advance in E13-E16 (0 = one per CPU; output is byte-identical)")
+	flag.IntVar(&opts.parallel, "parallel", 1, "worker budget, split between shards and each shard's fleet/planner fan-out (0 = one per CPU; output is byte-identical)")
 	flag.Uint64Var(&opts.seed, "seed", 42, "simulation seed")
 	flag.BoolVar(&opts.jsonOut, "json", false, "emit reports as JSON (with -list: the scenario registry)")
 	flag.BoolVar(&opts.mdOut, "md", false, "emit the EXPERIMENTS.md document")
@@ -107,7 +104,6 @@ func main() {
 	flag.StringVar(&opts.traceIn, "trace-in", "", "replay the E16 arrival stream from a versioned trace file")
 	flag.StringVar(&opts.traceOut, "trace-out", "", "write the E16 arrival stream to a versioned trace file")
 	flag.StringVar(&opts.scaler, "scaler", "", "restrict E16 to one autoscaler policy (reactive|predictive)")
-	flag.IntVar(&opts.planWorkers, "plan-workers", 1, "goroutines for the E17 planner's verifying simulations (0 = one per CPU; output is byte-identical)")
 	flag.Float64Var(&opts.planRate, "plan-rate", 0, "offered load in req/s the E17 planner plans for (0 = 2200)")
 	flag.Float64Var(&opts.planP99, "plan-p99", 0, "E17 SLO: p99 sojourn bound in ms (0 = 12)")
 	flag.Float64Var(&opts.planShed, "plan-shed", 0, "E17 SLO: maximum shed fraction (0 = 0.01)")
@@ -136,8 +132,6 @@ func realMain(ctx context.Context, w io.Writer, opts options) error {
 	copts := []pdr.CampaignOption{
 		pdr.WithCampaignSeed(opts.seed),
 		pdr.WithWorkers(opts.parallel),
-		pdr.WithFleetWorkers(opts.fleetWorkers),
-		pdr.WithPlanWorkers(opts.planWorkers),
 		pdr.WithBoardVariant(pdr.BoardVariant(opts.platform)),
 		pdr.WithFleetRouter(opts.router),
 		pdr.WithChaosStorm(opts.chaosCrashes, opts.chaosExcursions, opts.chaosGlitches),
@@ -276,8 +270,8 @@ func writeSummary(w io.Writer, res *pdr.CampaignResult) {
 		events += rep.SimEvents
 		wall += rep.WallMS
 	}
-	fmt.Fprintf(w, "%-5s %14d %12.1f  (%d units on %d workers, %.1f ms elapsed)\n",
-		"total", events, wall, res.Units, res.Workers,
+	fmt.Fprintf(w, "%-5s %14d %12.1f  (%d units on %d workers, %d inner each, %.1f ms elapsed)\n",
+		"total", events, wall, res.Units, res.Workers, res.Inner,
 		float64(res.Elapsed)/float64(time.Millisecond))
 	for i, wc := range res.Pool {
 		fmt.Fprintf(w, "worker %d: %d units, %.1f ms busy\n",

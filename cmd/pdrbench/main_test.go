@@ -210,7 +210,7 @@ func TestTraceEventsAndMetricsFlags(t *testing.T) {
 	traceFile := filepath.Join(dir, "e14.trace.json")
 	metricsJSON := filepath.Join(dir, "e14.metrics.json")
 	metricsCSV := filepath.Join(dir, "e14.metrics.csv")
-	out1 := run(t, options{run: "E14", seed: 42, parallel: 1, fleetWorkers: 1,
+	out1 := run(t, options{run: "E14", seed: 42, parallel: 1,
 		traceEvents: traceFile, metricsOut: metricsJSON})
 	trace1, err := os.ReadFile(traceFile)
 	if err != nil {
@@ -227,19 +227,20 @@ func TestTraceEventsAndMetricsFlags(t *testing.T) {
 		t.Errorf("metrics file malformed:\n%.200s", m1)
 	}
 	// Stdout must be unchanged by tracing, and both export files must be
-	// byte-identical at a different fleet fan-out width.
+	// byte-identical at a budget of 4 × E14's 4 units, which fans each
+	// shard's fleet epochs out over 4 workers.
 	trace2 := filepath.Join(dir, "e14b.trace.json")
-	out4 := run(t, options{run: "E14", seed: 42, parallel: 1, fleetWorkers: 4,
+	out4 := run(t, options{run: "E14", seed: 42, parallel: 16,
 		traceEvents: trace2, metricsOut: metricsCSV})
 	if out1 != out4 {
-		t.Error("stdout differs between fleet-worker widths")
+		t.Error("stdout differs between worker budgets")
 	}
 	t2, err := os.ReadFile(trace2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(trace1, t2) {
-		t.Error("trace-events files differ between fleet-worker widths")
+		t.Error("trace-events files differ between worker budgets")
 	}
 	csv, err := os.ReadFile(metricsCSV)
 	if err != nil {
@@ -248,7 +249,7 @@ func TestTraceEventsAndMetricsFlags(t *testing.T) {
 	if !strings.HasPrefix(string(csv), "fleet,series,unit,t_us,value\n") {
 		t.Errorf("metrics .csv extension did not select CSV:\n%.120s", csv)
 	}
-	plain := run(t, options{run: "E14", seed: 42, parallel: 1, fleetWorkers: 1})
+	plain := run(t, options{run: "E14", seed: 42, parallel: 1})
 	if plain != out1 {
 		t.Error("stdout differs between traced and untraced runs")
 	}

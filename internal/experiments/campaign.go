@@ -18,9 +18,11 @@ type CampaignResult struct {
 	Reports []*Report
 	// Seed is the campaign seed the reports were generated at.
 	Seed uint64
-	// Workers and Units record the executed schedule's shape (they do not
-	// affect Reports).
+	// Workers, Inner and Units record the executed schedule's shape (they
+	// do not affect Reports): Workers shards ran at once, each with Inner
+	// workers for its own fleet or planner fan-out, over Units shards.
 	Workers int
+	Inner   int
 	Units   int
 	// Pool is the campaign worker pool's wall-clock utilization, one entry
 	// per worker (units claimed, busy time); Elapsed is the whole run's
@@ -60,7 +62,10 @@ type campaignUnit struct {
 // fresh Env built from the scenario's EnvConfig, and merges each
 // scenario's shard reports in index order. The shard plan is fixed before
 // any worker starts, so the reports are byte-identical at every worker
-// count. workers ≤ 0 means one per available CPU. It honours ctx:
+// count. workers is the campaign's one worker budget (≤ 0 means one per
+// available CPU), split top-down by workpool.Split: min(workers, units)
+// shards run at once and each gets the rest as Env.Workers, which the
+// fleet and planner scenarios fan out over. It honours ctx:
 // cancellation aborts workers between measurement points and RunCampaign
 // returns the context's error.
 func RunCampaign(ctx context.Context, scens []Scenario, cfg Config, workers int) (*CampaignResult, error) {
@@ -86,7 +91,7 @@ func RunCampaign(ctx context.Context, scens []Scenario, cfg Config, workers int)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	workers = min(workers, len(units))
+	workers, inner := workpool.Split(workers, len(units))
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -106,6 +111,7 @@ func RunCampaign(ctx context.Context, scens []Scenario, cfg Config, workers int)
 			cancel()
 			return
 		}
+		env.Workers = inner
 		rep, err := scens[u.scen].Run(runCtx, env, u.shard)
 		if err != nil {
 			errs[i] = err
@@ -139,7 +145,7 @@ func RunCampaign(ctx context.Context, scens []Scenario, cfg Config, workers int)
 		return nil, cancelled
 	}
 
-	res := &CampaignResult{Seed: cfg.Seed, Workers: workers, Units: len(units), cfg: cfg}
+	res := &CampaignResult{Seed: cfg.Seed, Workers: workers, Inner: inner, Units: len(units), cfg: cfg}
 	for si, s := range scens {
 		rep := parts[si][0]
 		if s.Merge != nil {

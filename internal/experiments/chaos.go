@@ -82,10 +82,7 @@ func chaosStorm(cfg Config) chaos.Config {
 // chaosStream is E15's shared arrival stream: the E14 popularity shape on
 // its own seed, so the chaos scenario never perturbs the calm one.
 func chaosStream(cfg Config) (workload.Trace, []cluster.BoardSpec, error) {
-	boards := make([]cluster.BoardSpec, routeFleetSize)
-	for i := range boards {
-		boards[i] = cluster.BoardSpec{Platform: cfg.Platform}
-	}
+	boards := fleetBoards([]string{cfg.Platform}, routeFleetSize)
 	rps, err := cluster.CommonRPs(boards)
 	if err != nil {
 		return nil, nil, err
@@ -132,7 +129,7 @@ func chaosShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		Seed:    env.Cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  router,
-		Workers: env.Cfg.FleetWorkers,
+		Workers: env.Workers,
 		Trace:   obsFleet(env.Cfg, "E15", shard, router.Name()),
 		// The scaler's job here is repair, not capacity: it starts one short
 		// of full and must re-activate the spare when a crash empties a slot.

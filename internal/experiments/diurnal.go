@@ -105,22 +105,12 @@ func diurnalSpec() workload.ArrivalSpec {
 	}
 }
 
-// diurnalBoards is E16's fleet build: a homogeneous campaign-platform
-// fleet sized to cover the flash peak.
-func diurnalBoards(cfg Config) []cluster.BoardSpec {
-	boards := make([]cluster.BoardSpec, diurnalFleetSize)
-	for i := range boards {
-		boards[i] = cluster.BoardSpec{Platform: cfg.Platform}
-	}
-	return boards
-}
-
 // DiurnalTrace generates E16's arrival stream for a campaign
 // configuration — the exact stream the scenario serves, exported so
 // `pdrbench -trace-out` can persist it as a versioned trace file and a
 // later run can replay it byte-identically via Config.TraceFile.
 func DiurnalTrace(cfg Config) (workload.Trace, error) {
-	rps, err := cluster.CommonRPs(diurnalBoards(cfg))
+	rps, err := cluster.CommonRPs(fleetBoards([]string{cfg.Platform}, diurnalFleetSize))
 	if err != nil {
 		return nil, err
 	}
@@ -192,11 +182,11 @@ func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		return nil, err
 	}
 	f, err := cluster.New(cluster.FleetConfig{
-		Boards:  diurnalBoards(env.Cfg),
+		Boards:  fleetBoards([]string{env.Cfg.Platform}, diurnalFleetSize),
 		Seed:    env.Cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  cluster.LeastOutstanding(),
-		Workers: env.Cfg.FleetWorkers,
+		Workers: env.Workers,
 		Trace:   obsFleet(env.Cfg, "E16", shard, policy),
 		Autoscaler: &cluster.AutoscalerConfig{
 			Window: diurnalHour,

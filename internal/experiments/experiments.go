@@ -240,15 +240,6 @@ type Config struct {
 	// Scaler restricts the diurnal scenario (E16) to a single autoscaler
 	// policy ("" compares every policy; see cluster.ScalerPolicies).
 	Scaler string
-	// FleetWorkers bounds the goroutines each fleet scenario's epoch
-	// advance fans out over (≤ 1 = sequential). Purely a wall-clock knob:
-	// fleet output is byte-identical at every setting, so it is not part
-	// of the scientific configuration.
-	FleetWorkers int
-	// PlanWorkers bounds the planner scenario's (E17) tier-B simulation
-	// fan-out (≤ 1 = sequential). Like FleetWorkers it is wall-clock
-	// only: the search result is byte-identical at every setting.
-	PlanWorkers int
 	// PlanRate overrides the planner's offered load in req/s (0 = the
 	// scenario default, 2200).
 	PlanRate float64
@@ -261,9 +252,8 @@ type Config struct {
 	// Obs, when non-nil, collects deterministic spans and sim-time metrics
 	// from the fleet scenarios (see internal/obs): each shard registers
 	// its fleet under "<scenario>/<shard>" so the export is ordered by
-	// key, not by campaign schedule. Like FleetWorkers it is not part of
-	// the scientific configuration — report output is byte-identical with
-	// or without it.
+	// key, not by campaign schedule. It is not part of the scientific
+	// configuration — report output is byte-identical with or without it.
 	Obs *obs.Tracer
 }
 
@@ -345,6 +335,11 @@ type Env struct {
 	Bitstream  *bitstream.Bitstream
 	// Cfg is the configuration this Env was built from (grids, seed).
 	Cfg Config
+	// Workers is the shard's share of the campaign's worker budget, set by
+	// RunCampaign: the width the fleet scenarios' epoch advance and the
+	// planner's verifying simulations fan out over (≤ 1 = sequential).
+	// Output is byte-identical at every width.
+	Workers int
 }
 
 // NewEnv builds a booted platform with the standard test bitstream (the

@@ -83,11 +83,12 @@ func fleetRouterName(cfg Config) string {
 	return "least-outstanding"
 }
 
-// fleetBoards builds a composition's board list at one size.
-func fleetBoards(comp fleetComposition, size int) []cluster.BoardSpec {
+// fleetBoards builds a size-board fleet that cycles through the given
+// platforms; one platform gives a homogeneous fleet.
+func fleetBoards(cycle []string, size int) []cluster.BoardSpec {
 	out := make([]cluster.BoardSpec, size)
 	for i := range out {
-		out[i] = cluster.BoardSpec{Platform: comp.cycle[i%len(comp.cycle)]}
+		out[i] = cluster.BoardSpec{Platform: cycle[i%len(cycle)]}
 	}
 	return out
 }
@@ -96,7 +97,7 @@ func fleetBoards(comp fleetComposition, size int) []cluster.BoardSpec {
 // whole platform cycle, independent of fleet size, so every size of one
 // composition replays the same stream.
 func fleetRPs(comp fleetComposition) ([]string, error) {
-	return cluster.CommonRPs(fleetBoards(comp, len(comp.cycle)))
+	return cluster.CommonRPs(fleetBoards(comp.cycle, len(comp.cycle)))
 }
 
 // scaleSeed derives a composition's arrival-stream seed.
@@ -121,7 +122,7 @@ var scaleHeader = []string{
 }
 
 // scalePoint serves the composition's stream on one fleet build.
-func scalePoint(cfg Config, comp fleetComposition, size int, auto bool, ft *obs.FleetTrace) (*cluster.FleetStats, error) {
+func scalePoint(cfg Config, workers int, comp fleetComposition, size int, auto bool, ft *obs.FleetTrace) (*cluster.FleetStats, error) {
 	rps, err := fleetRPs(comp)
 	if err != nil {
 		return nil, err
@@ -139,11 +140,11 @@ func scalePoint(cfg Config, comp fleetComposition, size int, auto bool, ft *obs.
 		return nil, err
 	}
 	fcfg := cluster.FleetConfig{
-		Boards:  fleetBoards(comp, size),
+		Boards:  fleetBoards(comp.cycle, size),
 		Seed:    cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  router,
-		Workers: cfg.FleetWorkers,
+		Workers: workers,
 		Trace:   ft,
 		Service: cluster.ServiceTemplate{
 			QueueCap: serveQueueCap,
@@ -232,13 +233,13 @@ func scaleShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	if auto {
 		label += " (auto)"
 	}
-	st, err := scalePoint(env.Cfg, comp, size, auto,
+	st, err := scalePoint(env.Cfg, env.Workers, comp, size, auto,
 		obsFleet(env.Cfg, "E13", shard, fmt.Sprintf("%s x%d", label, size)))
 	if err != nil {
 		return nil, err
 	}
 	rep := &Report{ID: "E13", Title: scaleTitle, SimEvents: st.KernelEvents}
-	rep.Rows = append(rep.Rows, scaleRow(label, boardsLabel(fleetBoards(comp, size)), fleetRouterName(env.Cfg), st))
+	rep.Rows = append(rep.Rows, scaleRow(label, boardsLabel(fleetBoards(comp.cycle, size)), fleetRouterName(env.Cfg), st))
 	if !auto {
 		good := sim.Series{Name: "e13_" + comp.name + "_goodput", XLabel: "fleet_size", YLabel: "goodput_req_per_s"}
 		p99 := sim.Series{Name: "e13_" + comp.name + "_p99", XLabel: "fleet_size", YLabel: "p99_sojourn_us"}
@@ -306,10 +307,7 @@ func routeShards(Config) int { return len(cluster.RouterNames()) }
 // popularity over the campaign platform's RP plan, identical across the
 // policy shards so the routers face the same traffic.
 func routeStream(cfg Config) (workload.Trace, []cluster.BoardSpec, error) {
-	boards := make([]cluster.BoardSpec, routeFleetSize)
-	for i := range boards {
-		boards[i] = cluster.BoardSpec{Platform: cfg.Platform}
-	}
+	boards := fleetBoards([]string{cfg.Platform}, routeFleetSize)
 	rps, err := cluster.CommonRPs(boards)
 	if err != nil {
 		return nil, nil, err
@@ -345,7 +343,7 @@ func routeShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		Seed:    env.Cfg.Seed,
 		FreqMHz: serveFreqMHz,
 		Router:  router,
-		Workers: env.Cfg.FleetWorkers,
+		Workers: env.Workers,
 		Trace:   obsFleet(env.Cfg, "E14", shard, router.Name()),
 		Service: cluster.ServiceTemplate{
 			QueueCap: serveQueueCap,

@@ -52,24 +52,26 @@ func TestReportJSONUnchangedByTracing(t *testing.T) {
 
 // TestScenarioSimEventsDeterministic: the per-report sim-event counter is
 // a pure function of the configuration — same seed, same count, at any
-// fleet fan-out — and is non-zero for the simulation scenarios.
+// worker budget (4 × units gives each shard's fleet 4 epoch workers) —
+// and is non-zero for the simulation scenarios.
 func TestScenarioSimEventsDeterministic(t *testing.T) {
 	s, ok := Lookup("E14")
 	if !ok {
 		t.Fatal("E14 not registered")
 	}
-	run := func(workers int) uint64 {
-		rep, err := RunSequential(context.Background(), s, Config{Seed: 42, FleetWorkers: workers})
+	cfg := Config{Seed: 42}
+	run := func(budget int) uint64 {
+		res, err := RunCampaign(context.Background(), []Scenario{s}, cfg, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep.SimEvents
+		return res.Reports[0].SimEvents
 	}
 	seq := run(1)
 	if seq == 0 {
 		t.Fatal("E14 reported zero simulation events")
 	}
-	if par := run(4); par != seq {
-		t.Errorf("sim events vary with fleet workers: %d (w=1) vs %d (w=4)", seq, par)
+	if par := run(4 * s.Shards(cfg)); par != seq {
+		t.Errorf("sim events vary with the worker budget: %d (budget 1) vs %d (4 per shard)", seq, par)
 	}
 }

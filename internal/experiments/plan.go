@@ -10,9 +10,10 @@ import (
 )
 
 // E17 "plan": the power-aware capacity planner. One shard: the search
-// engine itself already fans its verifying simulations out over
-// Config.PlanWorkers (tier B), and the tier-A surrogate scores the whole
-// candidate space in milliseconds, so there is nothing left to shard.
+// engine itself already fans its verifying simulations out over the
+// shard's worker budget, Env.Workers (tier B), and the tier-A surrogate
+// scores the whole candidate space in milliseconds, so there is nothing
+// left to shard.
 //
 // The scenario answers ROADMAP item 2's question at the standard offered
 // load: meet the SLO at minimum watts, choosing between more boards at
@@ -109,10 +110,9 @@ func planShard(ctx context.Context, env *Env, _ int) (*Report, error) {
 	w := planWorkload(cfg)
 	slo := planSLO(cfg)
 	res, err := plan.Search(ctx, plan.Options{
-		Workload:     w,
-		SLO:          slo,
-		Workers:      cfg.PlanWorkers,
-		FleetWorkers: cfg.FleetWorkers,
+		Workload: w,
+		SLO:      slo,
+		Workers:  env.Workers,
 	})
 	if err != nil {
 		return nil, err

@@ -47,8 +47,9 @@ func TestPlanAcceptance(t *testing.T) {
 }
 
 // TestPlanScenarioWorkerCountEquality pins E17 at the scenario level:
-// the full report must be byte-identical whether tier B's verifying
-// simulations run sequentially or fan out over 4 workers.
+// the full report must be byte-identical whether the campaign runs on a
+// budget of 1 or on 4 × units, which hands the one planner shard 4
+// workers for tier B's verifying simulations.
 func TestPlanScenarioWorkerCountEquality(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full E17 scenario twice")
@@ -57,20 +58,23 @@ func TestPlanScenarioWorkerCountEquality(t *testing.T) {
 	if !ok {
 		t.Fatal("E17 not registered")
 	}
-	run := func(workers int) string {
-		cfg := Config{Seed: 42, PlanWorkers: workers}
-		rep, err := RunSequential(context.Background(), s, cfg)
+	cfg := Config{Seed: 42}
+	run := func(budget int) string {
+		res, err := RunCampaign(context.Background(), []Scenario{s}, cfg, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := rep.JSON()
+		if budget > 1 && res.Inner != 4 {
+			t.Fatalf("budget %d over %d units gave inner %d, want 4", budget, res.Units, res.Inner)
+		}
+		out, err := res.Reports[0].JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
 		return string(out)
 	}
-	if seq, par := run(1), run(4); seq != par {
-		t.Error("E17 report changes with PlanWorkers=4")
+	if seq, par := run(1), run(4*s.Shards(cfg)); seq != par {
+		t.Error("E17 report changes with 4 planner workers")
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // the canonical encoding of everything the simulated outcome depends on —
 // the stream (seed, rate, request count, deadline, ASP mix) and the fleet
 // configuration (board platforms in index order, frequency, router, cache
-// budget, queue cap, prewarm set). Wall-clock-only knobs (tier-B workers,
-// per-fleet epoch workers) are deliberately excluded: they never change the
+// budget, queue cap, prewarm set). The worker budget, wall-clock only at
+// both of its levels, is deliberately excluded: it never changes the
 // simulated bytes, so a warm cache serves every worker count.
 func Key(c Candidate, w Workload) string {
 	var b strings.Builder

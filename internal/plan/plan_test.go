@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/sim"
+	"repro/internal/workpool"
 )
 
 // testSpace is a reduced candidate space that keeps every structural
@@ -55,6 +56,24 @@ func TestSearchDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if !reflect.DeepEqual(ref, res) {
 			t.Errorf("workers=%d: result differs from sequential reference", workers)
+		}
+	}
+}
+
+// TestVerifyBatchSplitWithinBudget pins Search's split of its worker
+// budget over one verification batch: concurrent simulations times each
+// one's fleet workers never exceed Workers, and Workers ≤ 1 stays
+// sequential at both levels.
+func TestVerifyBatchSplitWithinBudget(t *testing.T) {
+	if fan, fleet := workpool.Split(4, 3); fan != 3 || fleet != 1 || fan*fleet > 4 {
+		t.Errorf("Workers 4, batch 3: fan %d × fleet %d", fan, fleet)
+	}
+	if fan, fleet := workpool.Split(4, 1); fan*fleet != 4 {
+		t.Errorf("Workers 4, batch 1: fan %d × fleet %d, want the whole budget", fan, fleet)
+	}
+	for _, workers := range []int{-1, 0, 1} {
+		if fan, fleet := workpool.Split(workers, 3); fan != 1 || fleet != 1 {
+			t.Errorf("Workers %d, batch 3: fan %d × fleet %d, want sequential", workers, fan, fleet)
 		}
 	}
 }

@@ -49,12 +49,12 @@ type Options struct {
 	// MaxSims bounds tier B's full fleet simulations (≤ 0 = 25). Memo hits
 	// are free: they do not count against the budget.
 	MaxSims int
-	// Workers bounds tier B's simulation fan-out (≤ 1 = sequential).
-	// Output is byte-identical at every setting.
+	// Workers is tier B's worker budget (≤ 1 = sequential). A batch of n
+	// verifying simulations runs fan = min(Workers, n) at once, and each
+	// one's per-epoch board advance fans out over max(1, Workers/fan)
+	// workers of its own (workpool.Split). Output is byte-identical at
+	// every setting.
 	Workers int
-	// FleetWorkers is passed through to each verifying simulation's
-	// per-epoch board fan-out (also wall-clock only).
-	FleetWorkers int
 	// Memo, when non-nil, is the shared simulation cache; nil uses a fresh
 	// one private to this call.
 	Memo *Memo
@@ -130,7 +130,7 @@ func (o *Options) resolve() {
 
 // simulate runs one candidate's verifying full fleet simulation: the exact
 // stream the workload describes, served by a freshly built fleet.
-func simulate(c Candidate, w Workload, fleetWorkers int) (*cluster.FleetStats, error) {
+func simulate(c Candidate, w Workload, workers int) (*cluster.FleetStats, error) {
 	rps, err := cluster.CommonRPs(c.Boards)
 	if err != nil {
 		return nil, err
@@ -149,7 +149,7 @@ func simulate(c Candidate, w Workload, fleetWorkers int) (*cluster.FleetStats, e
 		Seed:    w.Seed,
 		FreqMHz: c.FreqMHz,
 		Router:  router,
-		Workers: fleetWorkers,
+		Workers: workers,
 		Service: cluster.ServiceTemplate{
 			QueueCap: simQueueCap,
 			Prewarm:  w.ASPs,
@@ -321,12 +321,13 @@ func Search(ctx context.Context, o Options) (*Result, error) {
 			}
 			stats := make([]*cluster.FleetStats, len(cold))
 			errs := make([]error, len(cold))
-			workpool.Run(len(cold), o.Workers, func(k int) {
+			fan, fleet := workpool.Split(o.Workers, len(cold))
+			workpool.Run(len(cold), fan, func(k int) {
 				if err := ctx.Err(); err != nil {
 					errs[k] = err
 					return
 				}
-				stats[k], errs[k] = simulate(cands[cold[k]], o.Workload, o.FleetWorkers)
+				stats[k], errs[k] = simulate(cands[cold[k]], o.Workload, fleet)
 			})
 			for k, err := range errs {
 				if err != nil {

@@ -16,6 +16,18 @@ import (
 // Run returns once every unit has finished.
 func Run(n, workers int, fn func(i int)) { RunCounted(n, workers, nil, fn) }
 
+// Split divides one worker budget between n units and the work nested in
+// each: outer = min(budget, n) units run at once, and each gets
+// inner = max(1, budget/outer) workers of its own, so outer × inner never
+// exceeds the budget (a budget below 1 counts as 1). The split is static —
+// fixed before any unit starts — so it can only change wall clock, never
+// a deterministic unit's output.
+func Split(budget, n int) (outer, inner int) {
+	budget = max(budget, 1)
+	outer = min(budget, n)
+	return outer, max(1, budget/max(outer, 1))
+}
+
 // WorkerCount is one worker's accumulated utilization: how many units
 // it claimed and how much wall-clock time it spent running them. The
 // gap between Busy and the pool's elapsed wall time is starvation —

@@ -3,7 +3,6 @@ package pdr
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/experiments"
 	"repro/internal/sim"
@@ -44,22 +43,11 @@ const (
 	ZC706 BoardVariant = "zc706"
 )
 
-// ApplyBoardVariant resolves a variant into an experiments configuration —
-// the same resolution a campaign performs. Exposed for tests and tooling
-// that build experiment Envs directly.
-func ApplyBoardVariant(v BoardVariant, cfg *experiments.Config) error {
-	if _, err := experiments.ProfileFor(experiments.Config{Platform: string(v)}); err != nil {
-		return err
-	}
-	cfg.Platform = string(v)
-	return nil
-}
-
 // CampaignOption configures NewCampaign.
 type CampaignOption func(*campaignConfig)
 
 // campaignConfig is the experiments configuration plus the two knobs that
-// shape the run rather than the results: the worker count and the scenario
+// shape the run rather than the results: the worker budget and the scenario
 // selection.
 type campaignConfig struct {
 	experiments.Config
@@ -73,9 +61,14 @@ func WithCampaignSeed(seed uint64) CampaignOption {
 	return func(c *campaignConfig) { c.Seed = seed }
 }
 
-// WithWorkers sets the worker-pool size. Each worker owns fully independent
-// Systems (their own simulation kernels — the kernel itself stays
-// single-threaded by design). n ≤ 0 means one worker per available CPU.
+// WithWorkers sets the campaign's worker budget: the most goroutines the
+// run keeps busy at once. The campaign splits it top-down before any
+// shard starts: min(n, units) shards run at once, and each shard's fleet
+// epochs (E13–E16) or planner simulations (E17) fan out over the rest,
+// max(1, n/shards), so the levels never multiply past n. Each shard owns
+// fully independent Systems (their own simulation kernels — the kernel
+// itself stays single-threaded by design), and output is byte-identical
+// at every budget. n ≤ 0 means one per available CPU.
 func WithWorkers(n int) CampaignOption {
 	return func(c *campaignConfig) { c.workers = n }
 }
@@ -150,33 +143,6 @@ func WithTraceFile(path string) CampaignOption {
 // ScalerPolicies).
 func WithScalerPolicy(policy ScalerPolicy) CampaignOption {
 	return func(c *campaignConfig) { c.Scaler = string(policy) }
-}
-
-// WithFleetWorkers bounds the goroutines each fleet scenario's per-epoch
-// board advance fans out over, inside one campaign unit (it composes with
-// WithWorkers, which parallelises across units). n ≤ 0 means one per
-// available CPU. Purely a wall-clock knob: fleet output is byte-identical
-// at every setting.
-func WithFleetWorkers(n int) CampaignOption {
-	return func(c *campaignConfig) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		c.FleetWorkers = n
-	}
-}
-
-// WithPlanWorkers bounds the goroutines the planner scenario's (E17)
-// tier-B verifying simulations fan out over. n ≤ 0 means one per available
-// CPU. Purely a wall-clock knob: the search result is byte-identical at
-// every setting.
-func WithPlanWorkers(n int) CampaignOption {
-	return func(c *campaignConfig) {
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		c.PlanWorkers = n
-	}
 }
 
 // WithPlanRate overrides the offered load (requests/s) the planner

@@ -113,14 +113,7 @@ func TestCampaignBoardVariantHot(t *testing.T) {
 // Env is built from it, and the die really carries the physical 2 s time
 // constant (the fast test-friendly shortcut must NOT win).
 func TestCampaignBoardVariantSlowThermal(t *testing.T) {
-	var cfg experiments.Config
-	if err := pdr.ApplyBoardVariant(pdr.ZedBoardSlowThermal, &cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Platform != string(pdr.ZedBoardSlowThermal) {
-		t.Fatalf("variant set Platform = %q", cfg.Platform)
-	}
-	env, err := experiments.NewEnvWith(cfg)
+	env, err := experiments.NewEnvWith(experiments.Config{Platform: string(pdr.ZedBoardSlowThermal)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,12 +64,10 @@ type PlanOptions struct {
 	// MaxSims bounds tier B's full fleet simulations (≤ 0 = 25). Memo
 	// hits are free.
 	MaxSims int
-	// Workers bounds tier B's simulation fan-out (≤ 1 = sequential).
-	// Output is byte-identical at every setting.
+	// Workers is tier B's worker budget (≤ 1 = sequential), split between
+	// concurrent verifying simulations and each one's per-epoch board
+	// fan-out. Output is byte-identical at every setting.
 	Workers int
-	// FleetWorkers is each verifying simulation's per-epoch board fan-out
-	// (also wall-clock only).
-	FleetWorkers int
 	// Memo, when non-nil, is a shared simulation cache; nil uses a fresh
 	// private one.
 	Memo *PlanMemo
@@ -77,16 +75,15 @@ type PlanOptions struct {
 
 // Plan runs the two-tier capacity search and returns its deterministic
 // result: the same (workload, SLO, space) always yields the same bytes,
-// whatever the worker counts or memo warmth.
+// whatever the worker budget or memo warmth.
 func Plan(ctx context.Context, opts PlanOptions) (*PlanResult, error) {
 	return plan.Search(ctx, plan.Options{
-		Workload:     opts.Workload,
-		SLO:          opts.SLO,
-		Space:        opts.Space,
-		Candidates:   opts.Candidates,
-		MaxSims:      opts.MaxSims,
-		Workers:      opts.Workers,
-		FleetWorkers: opts.FleetWorkers,
-		Memo:         opts.Memo,
+		Workload:   opts.Workload,
+		SLO:        opts.SLO,
+		Space:      opts.Space,
+		Candidates: opts.Candidates,
+		MaxSims:    opts.MaxSims,
+		Workers:    opts.Workers,
+		Memo:       opts.Memo,
 	})
 }
