@@ -13,6 +13,8 @@
 //	                              # epochs or planner simulations (output
 //	                              # is byte-identical to -parallel 1)
 //	pdrbench -parallel 0          # one worker per CPU
+//	pdrbench -h                   # every flag; the scenario knobs show
+//	                              # their defaults
 //	pdrbench -fleet 1,2,4         # reshape the E13 fleet-size axis
 //	pdrbench -router affinity     # E13 routing policy
 //	pdrbench -chaos-crashes 3     # reshape the E15 fault storm
@@ -52,38 +54,29 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 	"repro/pdr"
 )
 
 type options struct {
-	run             string
-	platform        string
-	parallel        int
-	seed            uint64
-	jsonOut         bool
-	mdOut           bool
-	list            bool
-	csvDir          string
-	fleet           string
-	router          string
-	chaosCrashes    int
-	chaosExcursions int
-	chaosGlitches   int
-	traceIn         string
-	traceOut        string
-	scaler          string
-	planRate        float64
-	planP99         float64
-	planShed        float64
-	traceEvents     string
-	metricsOut      string
-	pprofAddr       string
+	run         string
+	platform    string
+	parallel    int
+	seed        uint64
+	jsonOut     bool
+	mdOut       bool
+	list        bool
+	csvDir      string
+	traceOut    string
+	traceEvents string
+	metricsOut  string
+	pprofAddr   string
+	// params holds the scenario knobs set on the command line, by knob
+	// name (see experiments.Knobs).
+	params map[string]string
 }
 
 func main() {
@@ -96,20 +89,14 @@ func main() {
 	flag.BoolVar(&opts.mdOut, "md", false, "emit the EXPERIMENTS.md document")
 	flag.BoolVar(&opts.list, "list", false, "list registered scenarios and exit")
 	flag.StringVar(&opts.csvDir, "csv", "", "directory to write figure CSV series into")
-	flag.StringVar(&opts.fleet, "fleet", "", "comma-separated fleet sizes for the scale-out scenario E13 (e.g. 1,2,4)")
-	flag.StringVar(&opts.router, "router", "", "routing policy for E13 (round-robin|least-outstanding|weighted|affinity)")
-	flag.IntVar(&opts.chaosCrashes, "chaos-crashes", 0, "board outages in the E15 storm (0 = standard, negative = none)")
-	flag.IntVar(&opts.chaosExcursions, "chaos-excursions", 0, "thermal excursions in the E15 storm (0 = standard, negative = none)")
-	flag.IntVar(&opts.chaosGlitches, "chaos-glitches", 0, "CRC glitch bursts in the E15 storm (0 = standard, negative = none)")
-	flag.StringVar(&opts.traceIn, "trace-in", "", "replay the E16 arrival stream from a versioned trace file")
 	flag.StringVar(&opts.traceOut, "trace-out", "", "write the E16 arrival stream to a versioned trace file")
-	flag.StringVar(&opts.scaler, "scaler", "", "restrict E16 to one autoscaler policy (reactive|predictive)")
-	flag.Float64Var(&opts.planRate, "plan-rate", 0, "offered load in req/s the E17 planner plans for (0 = 2200)")
-	flag.Float64Var(&opts.planP99, "plan-p99", 0, "E17 SLO: p99 sojourn bound in ms (0 = 12)")
-	flag.Float64Var(&opts.planShed, "plan-shed", 0, "E17 SLO: maximum shed fraction (0 = 0.01)")
 	flag.StringVar(&opts.traceEvents, "trace-events", "", "write the run's spans and events as Chrome trace-event JSON (load in Perfetto / chrome://tracing)")
 	flag.StringVar(&opts.metricsOut, "metrics-out", "", "write the run's sim-time metric series (.csv = CSV, otherwise canonical JSON)")
 	flag.StringVar(&opts.pprofAddr, "pprof", "", "serve wall-clock profiling at this address (e.g. localhost:6060) for the run's duration")
+	opts.params = make(map[string]string)
+	for _, k := range experiments.Knobs() {
+		flag.Func(k.Name, k.Usage, func(v string) error { opts.params[k.Name] = v; return nil })
+	}
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
@@ -127,42 +114,17 @@ func realMain(ctx context.Context, w io.Writer, opts options) error {
 		}
 		return listScenarios(w)
 	}
-	// Every campaign option is passed as parsed; its zero value is the
-	// default, and the campaign validates them all before any shard runs.
+	// The campaign parses and validates every knob before any shard runs;
+	// a knob left unset keeps its scenario default.
 	copts := []pdr.CampaignOption{
 		pdr.WithCampaignSeed(opts.seed),
 		pdr.WithWorkers(opts.parallel),
 		pdr.WithBoardVariant(pdr.BoardVariant(opts.platform)),
-		pdr.WithFleetRouter(opts.router),
-		pdr.WithChaosStorm(opts.chaosCrashes, opts.chaosExcursions, opts.chaosGlitches),
-		pdr.WithTraceFile(opts.traceIn),
-		pdr.WithScalerPolicy(pdr.ScalerPolicy(opts.scaler)),
-		pdr.WithPlanRate(opts.planRate),
-		pdr.WithSLO(sim.Duration(opts.planP99*float64(sim.Millisecond)), opts.planShed),
 	}
-	if opts.fleet != "" {
-		var sizes []int
-		for _, s := range strings.Split(opts.fleet, ",") {
-			if s = strings.TrimSpace(s); s == "" {
-				continue
-			}
-			n, err := strconv.Atoi(s)
-			if err != nil || n < 1 {
-				return fmt.Errorf("invalid -fleet size %q (want positive integers)", s)
-			}
-			sizes = append(sizes, n)
+	for _, k := range experiments.Knobs() {
+		if v, ok := opts.params[k.Name]; ok {
+			copts = append(copts, pdr.WithParam(k.Name, v))
 		}
-		if len(sizes) == 0 {
-			return fmt.Errorf("invalid -fleet %q (want positive integers, e.g. 1,2,4)", opts.fleet)
-		}
-		copts = append(copts, pdr.WithFleetGrid(sizes...))
-	}
-	if opts.traceOut != "" {
-		if err := writeTraceOut(opts); err != nil {
-			return err
-		}
-		// The notice goes to stderr so -json/-md stdout stays parseable.
-		fmt.Fprintf(os.Stderr, "wrote %s\n", opts.traceOut)
 	}
 	var tracer *pdr.Tracer
 	if opts.traceEvents != "" || opts.metricsOut != "" {
@@ -215,6 +177,23 @@ func realMain(ctx context.Context, w io.Writer, opts options) error {
 		}
 	}
 
+	if opts.traceOut != "" {
+		// The campaign's E16 stream: the one -trace-in replays (re-exported
+		// after the import round trip), or the one the seed generates.
+		tr, err := res.DiurnalTrace()
+		if err != nil {
+			return err
+		}
+		out, err := pdr.ExportTrace(tr)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(opts.traceOut, out, 0o644); err != nil {
+			return err
+		}
+		// Notices go to stderr so -json/-md stdout stays parseable.
+		fmt.Fprintf(os.Stderr, "wrote %s\n", opts.traceOut)
+	}
 	if opts.csvDir != "" {
 		if err := os.MkdirAll(opts.csvDir, 0o755); err != nil {
 			return err
@@ -225,7 +204,6 @@ func realMain(ctx context.Context, w io.Writer, opts options) error {
 				if err := os.WriteFile(path, []byte(s.CSV()), 0o644); err != nil {
 					return err
 				}
-				// Notices go to stderr so -json/-md stdout stays parseable.
 				fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 			}
 		}
@@ -277,31 +255,6 @@ func writeSummary(w io.Writer, res *pdr.CampaignResult) {
 		fmt.Fprintf(w, "worker %d: %d units, %.1f ms busy\n",
 			i, wc.Tasks, float64(wc.Busy)/float64(time.Millisecond))
 	}
-}
-
-// writeTraceOut persists the E16 arrival stream as a versioned trace file:
-// the stream a -trace-in flag names (re-exported after the import round
-// trip), or the one the campaign seed and platform generate.
-func writeTraceOut(opts options) error {
-	var tr pdr.Trace
-	var err error
-	if opts.traceIn != "" {
-		data, rerr := os.ReadFile(opts.traceIn)
-		if rerr != nil {
-			return rerr
-		}
-		tr, err = pdr.ImportTrace(data)
-	} else {
-		tr, err = experiments.DiurnalTrace(experiments.Config{Seed: opts.seed, Platform: opts.platform})
-	}
-	if err != nil {
-		return err
-	}
-	out, err := pdr.ExportTrace(tr)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(opts.traceOut, out, 0o644)
 }
 
 // scenarioInfo and platformInfo are the machine-readable registry rows

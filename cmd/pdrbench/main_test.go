@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/pdr"
 )
 
 func run(t *testing.T, opts options) string {
@@ -158,17 +160,17 @@ func TestListJSONGolden(t *testing.T) {
 func TestFleetAndRouterFlags(t *testing.T) {
 	// A reduced fleet grid reshapes E13's shard plan and shows up in the
 	// rows; an unknown router must fail through the cluster registry.
-	out := run(t, options{run: "E13", seed: 42, parallel: 1, fleet: "1", router: "round-robin"})
+	out := run(t, options{run: "E13", seed: 42, parallel: 1, params: map[string]string{"fleet": "1", "router": "round-robin"}})
 	if !strings.Contains(out, "E13 —") || !strings.Contains(out, "round-robin") {
 		t.Errorf("output missing E13 header or router column:\n%s", out)
 	}
 	if strings.Contains(out, "2× zedboard") {
 		t.Errorf("-fleet 1 should drop larger fleet points:\n%s", out)
 	}
-	if err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E13", seed: 42, parallel: 1, router: "nope"}); err == nil || !strings.Contains(err.Error(), "unknown router") {
+	if err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E13", seed: 42, parallel: 1, params: map[string]string{"router": "nope"}}); err == nil || !strings.Contains(err.Error(), "unknown router") {
 		t.Errorf("unknown router accepted (err = %v)", err)
 	}
-	if err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E13", seed: 42, parallel: 1, fleet: "0"}); err == nil || !strings.Contains(err.Error(), "invalid -fleet") {
+	if err := realMain(context.Background(), &bytes.Buffer{}, options{run: "E13", seed: 42, parallel: 1, params: map[string]string{"fleet": "0"}}); err == nil || !strings.Contains(err.Error(), "invalid -fleet") {
 		t.Errorf("invalid fleet size accepted (err = %v)", err)
 	}
 }
@@ -178,17 +180,39 @@ func TestChaosStormFlags(t *testing.T) {
 	// class removed, E15 runs fault-free — nothing lost, nothing failed
 	// over, 100% availability across every routing policy.
 	calm := run(t, options{run: "E15", seed: 42, parallel: 1,
-		chaosCrashes: -1, chaosExcursions: -1, chaosGlitches: -1})
+		params: map[string]string{"chaos-crashes": "-1", "chaos-excursions": "-1", "chaos-glitches": "-1"}})
 	if !strings.Contains(calm, "E15 —") || !strings.Contains(calm, "0 events total") {
 		t.Errorf("disabled storm should report 0 events:\n%s", calm)
 	}
 	// The storm flags reshape the schedule note deterministically.
-	storm := run(t, options{run: "E15", seed: 42, parallel: 1, chaosCrashes: 3})
+	storm := run(t, options{run: "E15", seed: 42, parallel: 1, params: map[string]string{"chaos-crashes": "3"}})
 	if !strings.Contains(storm, "3 board outages") {
 		t.Errorf("-chaos-crashes 3 not reflected in the storm note:\n%s", storm)
 	}
 	if calm == storm {
 		t.Error("storm override produced identical output to the calm run")
+	}
+}
+
+// TestTraceOutAfterValidation: -trace-out writes its file only once the
+// campaign has validated every knob, so a rejected run leaves no file.
+func TestTraceOutAfterValidation(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "day.json")
+	err := realMain(context.Background(), &bytes.Buffer{},
+		options{run: "E8", seed: 42, parallel: 1, traceOut: path, params: map[string]string{"plan-rate": "-1"}})
+	if err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Errorf("negative -plan-rate accepted (err = %v)", err)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Errorf("-trace-out wrote %s for a rejected run (stat err = %v)", path, err)
+	}
+	run(t, options{run: "E8", seed: 42, parallel: 1, traceOut: path})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pdr.ImportTrace(data); err != nil {
+		t.Errorf("-trace-out wrote an unreadable trace: %v", err)
 	}
 }
 

@@ -81,7 +81,7 @@ func realMain(switches int, heat float64, seed uint64, parallel int, plat string
 // it, selects the switch setting and performs the button-driven load,
 // returning the transcript.
 func runSetting(prof *platform.Profile, sw int, heat float64, seed uint64) (string, error) {
-	p, err := zynq.NewPlatform(zynq.Options{Seed: seed, Profile: prof, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: seed, Profile: prof})
 	if err != nil {
 		return "", err
 	}

@@ -239,9 +239,8 @@ func newBoard(cfg FleetConfig, spec BoardSpec, index int) (*board, error) {
 		return nil, fmt.Errorf("unknown platform %q (registered: %s)", spec.Platform, platform.NameList())
 	}
 	p, err := zynq.NewPlatform(zynq.Options{
-		Seed:        deriveSeed(cfg.Seed, index),
-		Profile:     prof,
-		FastThermal: true,
+		Seed:    deriveSeed(cfg.Seed, index),
+		Profile: prof,
 	})
 	if err != nil {
 		return nil, err

@@ -27,7 +27,7 @@ var paperTableI = []struct {
 
 func newPlatform(t *testing.T) *zynq.Platform {
 	t.Helper()
-	p, err := zynq.NewPlatform(zynq.Options{Seed: 42, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTableIFailureRows(t *testing.T) {
 }
 
 func TestLoadValidation(t *testing.T) {
-	p, err := zynq.NewPlatform(zynq.Options{Seed: 3, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

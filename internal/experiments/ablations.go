@@ -78,7 +78,7 @@ func AblationKnee(env *Env) (*Report, error) {
 	}
 	for _, v := range variants {
 		params := v.params
-		p, err := zynq.NewPlatform(zynq.Options{Seed: 42, Profile: env.Platform.Profile, FastThermal: true, DRAMParams: &params})
+		p, err := zynq.NewPlatform(zynq.Options{Seed: 42, Profile: env.Platform.Profile, DRAMParams: &params})
 		if err != nil {
 			return nil, err
 		}

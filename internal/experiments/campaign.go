@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/workload"
 	"repro/internal/workpool"
 )
 
@@ -168,3 +169,8 @@ func RunCampaign(ctx context.Context, scens []Scenario, cfg Config, workers int)
 	res.Elapsed = time.Since(t0)
 	return res, nil
 }
+
+// DiurnalTrace is the E16 arrival stream of the campaign's configuration:
+// the replayed trace file when one is set, otherwise the stream the seed
+// and platform generate.
+func (r *CampaignResult) DiurnalTrace() (workload.Trace, error) { return diurnalStream(r.cfg) }

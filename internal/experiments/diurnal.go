@@ -106,9 +106,9 @@ func diurnalSpec() workload.ArrivalSpec {
 }
 
 // DiurnalTrace generates E16's arrival stream for a campaign
-// configuration — the exact stream the scenario serves, exported so
-// `pdrbench -trace-out` can persist it as a versioned trace file and a
-// later run can replay it byte-identically via Config.TraceFile.
+// configuration: the stream the scenario serves unless Config.TraceFile
+// replays a recorded one (CampaignResult.DiurnalTrace resolves which, for
+// `pdrbench -trace-out`).
 func DiurnalTrace(cfg Config) (workload.Trace, error) {
 	rps, err := cluster.CommonRPs(fleetBoards([]string{cfg.Platform}, diurnalFleetSize))
 	if err != nil {
@@ -132,11 +132,11 @@ func diurnalStream(cfg Config) (workload.Trace, error) {
 func readTrace(path string) (workload.Trace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: trace file: %w", err)
+		return nil, fmt.Errorf("trace file: %w", err)
 	}
 	tr, err := workload.ImportTrace(data)
 	if err != nil {
-		return nil, fmt.Errorf("experiments: trace file %s: %w", path, err)
+		return nil, fmt.Errorf("trace file %s: %w", path, err)
 	}
 	return tr, nil
 }

@@ -16,12 +16,9 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"math"
-	"slices"
 	"strings"
 
 	"repro/internal/bitstream"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -199,8 +196,9 @@ func MarkdownSuite(reports []*Report, cfg Config) string {
 // Config parameterises a campaign run: the seed, the simulated board
 // variant, and optional grid overrides consumed by the sweep/stress/power
 // scenarios. The zero value is the paper's calibrated setup at seed 0.
-// It is the single declaration of every campaign knob; Validate checks
-// all of them before a campaign starts. The board's ambient temperature
+// Each scenario knob is one field here plus one row of the knob table
+// (knobs.go), which names, parses and range-checks it; Validate checks
+// every knob before a campaign starts. The board's ambient temperature
 // and thermal time constant belong to the platform profile (see the
 // zedboard-hot and zedboard-slow-thermal presets), not to Config.
 type Config struct {
@@ -209,114 +207,29 @@ type Config struct {
 	// Platform names the registered platform profile the campaign's boards
 	// are built as ("" ⇒ the default zedboard). See internal/platform.
 	Platform string
-	// Freqs overrides the frequency axis of the grid scenarios (E2, E3,
-	// E4); nil keeps the paper grids.
-	Freqs []float64
-	// Temps overrides the temperature axis of the stress/power scenarios
-	// (E3, E4); nil keeps the paper grids.
-	Temps []float64
-	// Rates overrides the offered-load axis (requests/s) of the saturation
-	// scenario (E11); nil keeps the standard sweep grid.
-	Rates []float64
-	// FleetSizes overrides the fleet-size axis of the scale-out scenario
-	// (E13); nil keeps the standard {1, 2, 4, 8} sweep. The shard plan
-	// reshapes with the grid, independent of worker count.
-	FleetSizes []int
-	// Router names the routing policy the scale-out scenario (E13) serves
-	// through ("" = least-outstanding; see cluster.RouterNames). The
-	// routing scenario (E14) sweeps every policy regardless.
-	Router string
-	// ChaosCrashes, ChaosExcursions and ChaosGlitches override the chaos
-	// scenario's (E15) fault storm: 0 keeps the standard storm, a negative
-	// value removes that fault class entirely.
-	ChaosCrashes    int
-	ChaosExcursions int
-	ChaosGlitches   int
-	// TraceFile, when set, replays the diurnal scenario's (E16) arrival
-	// stream from a versioned trace file (see workload.ImportTrace)
-	// instead of generating it from the seed. The file's content becomes
-	// part of the campaign configuration: identical bytes, identical run.
-	TraceFile string
-	// Scaler restricts the diurnal scenario (E16) to a single autoscaler
-	// policy ("" compares every policy; see cluster.ScalerPolicies).
-	Scaler string
-	// PlanRate overrides the planner's offered load in req/s (0 = the
-	// scenario default, 2200).
-	PlanRate float64
-	// PlanP99MS overrides the planner's p99 SLO in milliseconds (0 = the
-	// scenario default, 12 ms).
-	PlanP99MS float64
-	// PlanShed overrides the planner's maximum shed fraction (0 = the
-	// scenario default, 1%).
-	PlanShed float64
+	// The scenario knobs, each named, documented, parsed and range-checked
+	// by its row of the knob table (knobs.go); the zero value keeps the
+	// scenario's default. A knob's grid or count reshapes the shard plan
+	// independent of worker count.
+	Freqs           []float64 // freqs: E2–E4 and E10 frequency axis, MHz
+	Temps           []float64 // temps: E3/E4 die-temperature axis, °C
+	Rates           []float64 // rates: E11 offered-load axis, req/s
+	FleetSizes      []int     // fleet: E13 fleet-size axis
+	Router          string    // router: E13 routing policy (E14 sweeps all)
+	ChaosCrashes    int       // chaos-crashes: E15 board outages (< 0 = none)
+	ChaosExcursions int       // chaos-excursions: E15 thermal excursions
+	ChaosGlitches   int       // chaos-glitches: E15 CRC glitch bursts
+	TraceFile       string    // trace-in: E16 stream replayed from this file
+	Scaler          string    // scaler: the one E16 autoscaler policy
+	PlanRate        float64   // plan-rate: E17 offered load, req/s
+	PlanP99MS       float64   // plan-p99: E17 p99 SLO, ms
+	PlanShed        float64   // plan-shed: E17 maximum shed fraction
 	// Obs, when non-nil, collects deterministic spans and sim-time metrics
 	// from the fleet scenarios (see internal/obs): each shard registers
 	// its fleet under "<scenario>/<shard>" so the export is ordered by
 	// key, not by campaign schedule. It is not part of the scientific
 	// configuration — report output is byte-identical with or without it.
 	Obs *obs.Tracer
-}
-
-// absoluteZeroC is the lowest temperature a grid may name.
-const absoluteZeroC = -273.15
-
-// Validate checks every knob of the configuration, including those the
-// selected scenarios never read, so a malformed value fails before any
-// shard starts:
-//   - Platform names a registered profile ("" is the default);
-//   - Freqs and Rates are finite and positive, Temps finite and not below
-//     absolute zero, FleetSizes at least 1;
-//   - Router and Scaler are "" or a name cluster.RouterNames /
-//     cluster.ScalerPolicies lists;
-//   - PlanRate, PlanP99MS and PlanShed are finite and non-negative, and
-//     PlanShed is at most 1;
-//   - TraceFile, when set, opens and imports as a trace.
-func (c Config) Validate() error {
-	if _, err := ProfileFor(c); err != nil {
-		return err
-	}
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	for _, f := range c.Freqs {
-		if !finite(f) || f <= 0 {
-			return fmt.Errorf("experiments: frequency %g MHz out of range (want finite, positive)", f)
-		}
-	}
-	for _, r := range c.Rates {
-		if !finite(r) || r <= 0 {
-			return fmt.Errorf("experiments: rate %g req/s out of range (want finite, positive)", r)
-		}
-	}
-	for _, t := range c.Temps {
-		if !finite(t) || t < absoluteZeroC {
-			return fmt.Errorf("experiments: temperature %g °C out of range (want finite, ≥ %g)", t, absoluteZeroC)
-		}
-	}
-	for _, n := range c.FleetSizes {
-		if n < 1 {
-			return fmt.Errorf("experiments: fleet size %d out of range (want ≥ 1)", n)
-		}
-	}
-	if c.Router != "" && !slices.Contains(cluster.RouterNames(), c.Router) {
-		return fmt.Errorf("experiments: unknown router %q (want %s)", c.Router, strings.Join(cluster.RouterNames(), "|"))
-	}
-	if c.Scaler != "" && !slices.Contains(cluster.ScalerPolicies(), c.Scaler) {
-		return fmt.Errorf("experiments: unknown scaler %q (want %s)", c.Scaler, strings.Join(cluster.ScalerPolicies(), "|"))
-	}
-	if !finite(c.PlanRate) || c.PlanRate < 0 {
-		return fmt.Errorf("experiments: plan rate %g req/s out of range (want finite, ≥ 0)", c.PlanRate)
-	}
-	if !finite(c.PlanP99MS) || c.PlanP99MS < 0 {
-		return fmt.Errorf("experiments: plan p99 %g ms out of range (want finite, ≥ 0)", c.PlanP99MS)
-	}
-	if !finite(c.PlanShed) || c.PlanShed < 0 || c.PlanShed > 1 {
-		return fmt.Errorf("experiments: plan shed %g out of range (want a fraction in [0, 1])", c.PlanShed)
-	}
-	if c.TraceFile != "" {
-		if _, err := readTrace(c.TraceFile); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // obsFleet registers one shard's fleet with the campaign tracer (nil —
@@ -363,7 +276,7 @@ func NewEnvWith(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := zynq.NewPlatform(zynq.Options{Seed: cfg.Seed, Profile: prof, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: cfg.Seed, Profile: prof})
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 
 func newFramework(t *testing.T) (*Framework, *core.Controller) {
 	t.Helper()
-	p, err := zynq.NewPlatform(zynq.Options{Seed: 9, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestOverheadFractionDropsWithOverclock(t *testing.T) {
 	// smaller fraction of wall time in reconfiguration at 200 MHz than at
 	// the nominal 100 MHz.
 	run := func(freq float64) float64 {
-		p, err := zynq.NewPlatform(zynq.Options{Seed: 9, FastThermal: true})
+		p, err := zynq.NewPlatform(zynq.Options{Seed: 9})
 		if err != nil {
 			t.Fatal(err)
 		}

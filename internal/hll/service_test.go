@@ -13,7 +13,7 @@ import (
 
 func newServiceController(t *testing.T) *core.Controller {
 	t.Helper()
-	p, err := zynq.NewPlatform(zynq.Options{Seed: 9, FastThermal: true})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

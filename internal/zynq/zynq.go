@@ -128,15 +128,6 @@ type Options struct {
 	// Profile selects the calibrated platform (nil ⇒ the registry default,
 	// the paper's ZedBoard).
 	Profile *platform.Profile
-	// AmbientC is the room temperature (0 ⇒ the profile's boot ambient).
-	AmbientC float64
-	// NominalMHz is the initial over-clock-domain frequency (0 ⇒ the
-	// profile's nominal).
-	NominalMHz float64
-	// FastThermal shrinks the thermal time constant for tests that do not
-	// care about heating transients. Profiles that force the physical
-	// constant (slow-thermal presets) override it.
-	FastThermal bool
 	// DRAMParams overrides the memory-path parameters (ablations); nil
 	// keeps the profile's calibration.
 	DRAMParams *dram.Params
@@ -148,12 +139,6 @@ func NewPlatform(opts Options) (*Platform, error) {
 	prof := opts.Profile
 	if prof == nil {
 		prof = platform.Default()
-	}
-	if opts.AmbientC == 0 {
-		opts.AmbientC = prof.BootAmbientC
-	}
-	if opts.NominalMHz == 0 {
-		opts.NominalMHz = prof.Clock.NominalMHz
 	}
 	k := sim.NewKernel()
 	dev := prof.Device()
@@ -168,7 +153,7 @@ func NewPlatform(opts Options) (*Platform, error) {
 		Monitors: make(map[string]*crcmon.Monitor),
 	}
 
-	p.OverclockDomain = clock.NewDomain("overclock", sim.Hz(opts.NominalMHz*1e6))
+	p.OverclockDomain = clock.NewDomain("overclock", sim.Hz(prof.Clock.NominalMHz*1e6))
 	wiz, err := clock.NewWizard(k, clock.WizardConfig{
 		Fin:      prof.Clock.RefClock,
 		Limits:   prof.Clock.Limits,
@@ -185,14 +170,16 @@ func NewPlatform(opts Options) (*Platform, error) {
 	p.Power.FreqMHz = func() float64 { return p.OverclockDomain.Freq().MHzValue() }
 	p.Power.PLActive = func() bool { return p.plConfigured }
 
-	// Thermal model heated by the chip, measured by the XADC.
+	// Thermal model heated by the chip, measured by the XADC. The time
+	// constant is the fast test-friendly one unless the profile forces the
+	// physical constant (the slow-thermal presets).
 	tcfg := thermal.Config{
-		AmbientC: opts.AmbientC,
+		AmbientC: prof.BootAmbientC,
 		RThermal: prof.Thermal.RThermalCPerW,
 		Tau:      prof.Thermal.Tau,
 		Step:     prof.Thermal.Step,
 	}
-	if opts.FastThermal && !prof.SlowThermal {
+	if !prof.SlowThermal {
 		tcfg.Tau = 50 * sim.Millisecond
 		tcfg.Step = sim.Millisecond
 	}

@@ -11,7 +11,7 @@ import (
 
 func newTestPlatform(t *testing.T) *Platform {
 	t.Helper()
-	p, err := NewPlatform(Options{Seed: 1, FastThermal: true})
+	p, err := NewPlatform(Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

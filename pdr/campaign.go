@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
-	"repro/internal/sim"
 )
 
 // Re-exported campaign types.
@@ -48,11 +47,12 @@ type CampaignOption func(*campaignConfig)
 
 // campaignConfig is the experiments configuration plus the two knobs that
 // shape the run rather than the results: the worker budget and the scenario
-// selection.
+// selection. err is the first WithParam failure, returned by Run.
 type campaignConfig struct {
 	experiments.Config
 	workers int
 	ids     []string
+	err     error
 }
 
 // WithCampaignSeed fixes the deterministic seed (default 42, the suite's
@@ -84,81 +84,17 @@ func WithBoardVariant(v BoardVariant) CampaignOption {
 	return func(c *campaignConfig) { c.Platform = string(v) }
 }
 
-// WithFrequencyGrid overrides the frequency axis of the grid scenarios
-// (E2, E3, E4).
-func WithFrequencyGrid(freqsMHz ...float64) CampaignOption {
-	return func(c *campaignConfig) { c.Freqs = append([]float64(nil), freqsMHz...) }
-}
-
-// WithTemperatureGrid overrides the temperature axis of the stress/power
-// scenarios (E3, E4).
-func WithTemperatureGrid(tempsC ...float64) CampaignOption {
-	return func(c *campaignConfig) { c.Temps = append([]float64(nil), tempsC...) }
-}
-
-// WithRateGrid overrides the offered-load axis (requests/s) of the
-// saturation scenario (E11). The shard plan reshapes with the grid —
-// deterministically, independent of worker count.
-func WithRateGrid(ratesPerSec ...float64) CampaignOption {
-	return func(c *campaignConfig) { c.Rates = append([]float64(nil), ratesPerSec...) }
-}
-
-// WithFleetGrid overrides the fleet-size axis of the scale-out scenario
-// (E13). The shard plan reshapes with the grid — deterministically,
-// independent of worker count.
-func WithFleetGrid(sizes ...int) CampaignOption {
-	return func(c *campaignConfig) { c.FleetSizes = append([]int(nil), sizes...) }
-}
-
-// WithFleetRouter selects the routing policy the scale-out scenario (E13)
-// serves through (default least-outstanding; see Routers). The routing
-// scenario (E14) sweeps every policy regardless.
-func WithFleetRouter(name string) CampaignOption {
-	return func(c *campaignConfig) { c.Router = name }
-}
-
-// WithChaosStorm reshapes the fault storm the chaos scenario (E15) replays:
-// the number of board outages, thermal excursions and CRC glitch bursts.
-// For each count, 0 keeps the standard storm and a negative value removes
-// that fault class entirely. The storm stays seeded and deterministic —
-// every routing policy still faces the identical event list.
-func WithChaosStorm(crashes, excursions, glitches int) CampaignOption {
+// WithParam sets one scenario knob by name from its text form. The names
+// and value syntax are those of pdrbench's scenario-knob flags, without
+// the dash (`pdrbench -h` lists each with its default), for example
+// WithParam("fleet", "1,2,4") or WithParam("plan-rate", "2800").
+// An unknown name or a value that does not parse fails Run before any
+// shard starts, as does a value out of the knob's range.
+func WithParam(name, value string) CampaignOption {
 	return func(c *campaignConfig) {
-		c.ChaosCrashes = crashes
-		c.ChaosExcursions = excursions
-		c.ChaosGlitches = glitches
-	}
-}
-
-// WithTraceFile replays the diurnal scenario's (E16) arrival stream from a
-// versioned trace file (see ExportTrace/ImportTrace) instead of generating
-// it from the campaign seed. The file's bytes become part of the campaign
-// configuration: identical file, identical run.
-func WithTraceFile(path string) CampaignOption {
-	return func(c *campaignConfig) { c.TraceFile = path }
-}
-
-// WithScalerPolicy restricts the diurnal scenario (E16) to a single
-// autoscaler policy instead of comparing every policy (see
-// ScalerPolicies).
-func WithScalerPolicy(policy ScalerPolicy) CampaignOption {
-	return func(c *campaignConfig) { c.Scaler = string(policy) }
-}
-
-// WithPlanRate overrides the offered load (requests/s) the planner
-// scenario (E17) plans for (default 2200).
-func WithPlanRate(ratePerSec float64) CampaignOption {
-	return func(c *campaignConfig) { c.PlanRate = ratePerSec }
-}
-
-// WithSLO overrides the planner scenario's (E17) objective: the p99
-// sojourn bound and the maximum tolerable shed fraction. A zero value
-// keeps that component's default (p99 ≤ 12 ms, shed ≤ 1%); a negative
-// one fails Run.
-func WithSLO(p99 sim.Duration, maxShed float64) CampaignOption {
-	return func(c *campaignConfig) {
-		c.PlanP99MS = float64(p99) / float64(sim.Millisecond)
-		c.PlanShed = maxShed
+		if err := c.Set(name, value); err != nil && c.err == nil {
+			c.err = err
+		}
 	}
 }
 
@@ -201,6 +137,9 @@ type CampaignResult = experiments.CampaignResult
 // cancellation aborts workers between measurement points and Run returns
 // the context's error.
 func (c *Campaign) Run(ctx context.Context) (*CampaignResult, error) {
+	if c.cfg.err != nil {
+		return nil, c.cfg.err
+	}
 	scens := experiments.All()
 	if len(c.cfg.ids) > 0 {
 		scens = scens[:0:0]

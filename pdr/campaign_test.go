@@ -3,7 +3,6 @@ package pdr_test
 import (
 	"context"
 	"errors"
-	"math"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -167,8 +166,8 @@ func TestCampaignGridOverride(t *testing.T) {
 		pdr.WithCampaignSeed(42),
 		pdr.WithWorkers(2),
 		pdr.WithScenarios("E3"),
-		pdr.WithFrequencyGrid(100, 200),
-		pdr.WithTemperatureGrid(40, 100),
+		pdr.WithParam("freqs", "100,200"),
+		pdr.WithParam("temps", "40,100"),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -224,8 +223,8 @@ func TestCampaignFleetGridOverride(t *testing.T) {
 	res, err := pdr.NewCampaign(
 		pdr.WithCampaignSeed(42),
 		pdr.WithScenarios("E13"),
-		pdr.WithFleetGrid(1, 2),
-		pdr.WithFleetRouter("affinity"),
+		pdr.WithParam("fleet", "1,2"),
+		pdr.WithParam("router", "affinity"),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -240,21 +239,21 @@ func TestCampaignFleetGridOverride(t *testing.T) {
 	}
 	for _, row := range rep.Rows {
 		if row[2] != "affinity" {
-			t.Errorf("router column = %q, want the WithFleetRouter override", row[2])
+			t.Errorf("router column = %q, want the router override", row[2])
 		}
 	}
-	// An unknown router surfaces through the shard error path, and a
-	// non-positive fleet size errors instead of panicking a worker.
+	// An unknown router and a non-positive fleet size fail validation
+	// instead of panicking a worker.
 	if _, err := pdr.NewCampaign(
 		pdr.WithScenarios("E13"),
-		pdr.WithFleetGrid(1),
-		pdr.WithFleetRouter("nope"),
+		pdr.WithParam("fleet", "1"),
+		pdr.WithParam("router", "nope"),
 	).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "unknown router") {
 		t.Errorf("unknown router accepted (err = %v)", err)
 	}
 	if _, err := pdr.NewCampaign(
 		pdr.WithScenarios("E13"),
-		pdr.WithFleetGrid(-1),
+		pdr.WithParam("fleet", "-1"),
 	).Run(context.Background()); err == nil || !strings.Contains(err.Error(), "out of range") {
 		t.Errorf("negative fleet size accepted (err = %v)", err)
 	}
@@ -264,7 +263,7 @@ func TestCampaignRateGridOverride(t *testing.T) {
 	res, err := pdr.NewCampaign(
 		pdr.WithCampaignSeed(42),
 		pdr.WithScenarios("E11"),
-		pdr.WithRateGrid(50, 400),
+		pdr.WithParam("rates", "50,400"),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -287,7 +286,8 @@ func TestCampaignRateGridOverride(t *testing.T) {
 // TestCampaignRejectsMalformedOptionsUpFront: every malformed campaign
 // option fails Run before any shard starts — with a nil result and no
 // shard in the error — both when a selected scenario reads the knob and
-// when none does (E8 reads none of them).
+// when none does (E8 reads none of them). That covers values out of a
+// knob's range, an unknown knob name and a value that does not parse.
 func TestCampaignRejectsMalformedOptionsUpFront(t *testing.T) {
 	absent := filepath.Join(t.TempDir(), "absent.json")
 	cases := []struct {
@@ -295,15 +295,17 @@ func TestCampaignRejectsMalformedOptionsUpFront(t *testing.T) {
 		opt    pdr.CampaignOption
 		reader string
 	}{
-		{"negative plan rate", pdr.WithPlanRate(-1), "E17"},
-		{"zero frequency", pdr.WithFrequencyGrid(0), "E2"},
-		{"NaN frequency", pdr.WithFrequencyGrid(math.NaN()), "E2"},
-		{"negative rate", pdr.WithRateGrid(-5), "E11"},
-		{"unknown scaler", pdr.WithScalerPolicy("bogus"), "E16"},
-		{"unknown router", pdr.WithFleetRouter("bogus"), "E13"},
-		{"negative fleet size", pdr.WithFleetGrid(-1), "E13"},
-		{"temperature below absolute zero", pdr.WithTemperatureGrid(-400), "E3"},
-		{"absent trace file", pdr.WithTraceFile(absent), "E16"},
+		{"negative plan rate", pdr.WithParam("plan-rate", "-1"), "E17"},
+		{"zero frequency", pdr.WithParam("freqs", "0"), "E2"},
+		{"NaN frequency", pdr.WithParam("freqs", "NaN"), "E2"},
+		{"negative rate", pdr.WithParam("rates", "-5"), "E11"},
+		{"unknown scaler", pdr.WithParam("scaler", "bogus"), "E16"},
+		{"unknown router", pdr.WithParam("router", "bogus"), "E13"},
+		{"negative fleet size", pdr.WithParam("fleet", "-1"), "E13"},
+		{"temperature below absolute zero", pdr.WithParam("temps", "-400"), "E3"},
+		{"absent trace file", pdr.WithParam("trace-in", absent), "E16"},
+		{"unknown knob", pdr.WithParam("fleet-size", "2"), "E13"},
+		{"unparsable value", pdr.WithParam("fleet", "two"), "E13"},
 	}
 	for _, tc := range cases {
 		for _, scen := range []string{tc.reader, "E8"} {

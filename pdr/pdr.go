@@ -86,10 +86,8 @@ type (
 type Option func(*options)
 
 type options struct {
-	seed        uint64
-	platform    string
-	ambientC    float64
-	fastThermal bool
+	seed     uint64
+	platform string
 }
 
 // WithSeed fixes the deterministic seed (default 1).
@@ -99,14 +97,6 @@ func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
 // (default "zedboard", the paper's calibrated board; see Platforms for the
 // registry).
 func WithPlatform(name string) Option { return func(o *options) { o.platform = name } }
-
-// WithAmbient sets the room temperature in °C (default: the platform
-// profile's boot ambient, 25 on the ZedBoard).
-func WithAmbient(c float64) Option { return func(o *options) { o.ambientC = c } }
-
-// WithSlowThermal uses the physical thermal time constant instead of the
-// fast test-friendly one.
-func WithSlowThermal() Option { return func(o *options) { o.fastThermal = false } }
 
 // PlatformInfo summarises one registered platform profile.
 type PlatformInfo struct {
@@ -150,7 +140,7 @@ type System struct {
 // NewSystem builds and boots a simulated board with the PDR design (the
 // paper's ZedBoard unless WithPlatform selects another registered profile).
 func NewSystem(opts ...Option) (*System, error) {
-	o := options{seed: 1, fastThermal: true}
+	o := options{seed: 1}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -158,12 +148,7 @@ func NewSystem(opts ...Option) (*System, error) {
 	if !ok {
 		return nil, fmt.Errorf("pdr: unknown platform %q (registered: %s)", o.platform, platform.NameList())
 	}
-	p, err := zynq.NewPlatform(zynq.Options{
-		Seed:        o.seed,
-		Profile:     prof,
-		AmbientC:    o.ambientC,
-		FastThermal: o.fastThermal,
-	})
+	p, err := zynq.NewPlatform(zynq.Options{Seed: o.seed, Profile: prof})
 	if err != nil {
 		return nil, err
 	}
