@@ -2,6 +2,7 @@ package repro_test
 
 import (
 	"context"
+	"os"
 	"reflect"
 	"testing"
 
@@ -67,9 +68,10 @@ func TestDeterministicReports(t *testing.T) {
 // TestCampaignSuiteParallelDeterminism is the campaign-level contract from
 // the Campaign API redesign: the FULL E1–A5 suite run through pdr.Campaign
 // on 4 workers must produce byte-identical reports — rendered text, JSON
-// and the generated EXPERIMENTS.md document — to a sequential run. Every
-// shard owns a fresh kernel and merges by index, so any divergence here
-// means a shard leaked state across workers or the merge order raced.
+// and the generated EXPERIMENTS.md document — to a sequential run, and
+// that document must be the committed EXPERIMENTS.md. Every shard owns a
+// fresh kernel and merges by index, so any divergence here means a shard
+// leaked state across workers or the merge order raced.
 func TestCampaignSuiteParallelDeterminism(t *testing.T) {
 	run := func(workers int) *pdr.CampaignResult {
 		res, err := pdr.NewCampaign(
@@ -101,6 +103,16 @@ func TestCampaignSuiteParallelDeterminism(t *testing.T) {
 	}
 	if seq.Markdown() != par.Markdown() {
 		t.Error("parallel EXPERIMENTS.md differs from sequential")
+	}
+	// The run is at seed 42, the `pdrbench -md` default, so the sequential
+	// document must also be the committed one: a drift check that costs no
+	// third campaign.
+	committed, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Markdown() != string(committed) {
+		t.Error("EXPERIMENTS.md is stale: regenerate it with `go run ./cmd/pdrbench -md > EXPERIMENTS.md`")
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/sim"
 	"repro/internal/workload"
 	"repro/internal/workpool"
 )
@@ -61,14 +63,14 @@ type campaignUnit struct {
 // RunCampaign is the one shard runner: it validates cfg, then executes
 // every shard of the given scenarios on a pool of workers, each shard on a
 // fresh Env built from the scenario's EnvConfig, and merges each
-// scenario's shard reports in index order. The shard plan is fixed before
-// any worker starts, so the reports are byte-identical at every worker
-// count. workers is the campaign's one worker budget (≤ 0 means one per
-// available CPU), split top-down by workpool.Split: min(workers, units)
-// shards run at once and each gets the rest as Env.Workers, which the
-// fleet and planner scenarios fan out over. It honours ctx:
-// cancellation aborts workers between measurement points and RunCampaign
-// returns the context's error.
+// scenario's shard reports in index order with mergeShards. The shard
+// plan is fixed before any worker starts, so the reports are
+// byte-identical at every worker count. workers is the campaign's one
+// worker budget (≤ 0 means one per available CPU), split top-down by
+// workpool.Split: min(workers, units) shards run at once and each gets
+// the rest as Env.Workers, which the fleet and planner scenarios fan out
+// over. It honours ctx: cancellation aborts workers between measurement
+// points and RunCampaign returns the context's error.
 func RunCampaign(ctx context.Context, scens []Scenario, cfg Config, workers int) (*CampaignResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -148,26 +150,58 @@ func RunCampaign(ctx context.Context, scens []Scenario, cfg Config, workers int)
 
 	res := &CampaignResult{Seed: cfg.Seed, Workers: workers, Inner: inner, Units: len(units), cfg: cfg}
 	for si, s := range scens {
-		rep := parts[si][0]
-		if s.Merge != nil {
-			var err error
-			rep, err = s.Merge(cfg, parts[si])
-			if err != nil {
-				return nil, fmt.Errorf("experiments: campaign %s merge: %w", s.ID, err)
-			}
-			// Merge builds a fresh report from the parts' tables; the
-			// profiling tallies fold in here (sim events sum, wall clock
-			// sums the shards' costs even when they overlapped on workers).
-			for _, p := range parts[si] {
-				rep.SimEvents += p.SimEvents
-				rep.WallMS += p.WallMS
-			}
+		rep, err := mergeShards(s, cfg, parts[si])
+		if err != nil {
+			return nil, fmt.Errorf("experiments: campaign %s merge: %w", s.ID, err)
 		}
 		res.Reports = append(res.Reports, rep)
 	}
 	res.Pool = pool.Snapshot()
 	res.Elapsed = time.Since(t0)
 	return res, nil
+}
+
+// mergeShards folds one scenario's shard reports, given in shard order,
+// into its final report: rows and notes concatenate in shard order, series
+// of the same name stitch into one curve in the order their names first
+// appear, and the profiling tallies sum (wall clock sums the shards' costs
+// even when they overlapped on workers). ID, title and header come from
+// the shards, which all agree on them. The scenario's Summarize, when it
+// has one, then adds what is derived from the whole.
+func mergeShards(s Scenario, cfg Config, parts []*Report) (*Report, error) {
+	rep := &Report{ID: parts[0].ID, Title: parts[0].Title, Header: parts[0].Header}
+	at := make(map[string]int)
+	for _, p := range parts {
+		rep.Rows = append(rep.Rows, p.Rows...)
+		rep.Notes = append(rep.Notes, p.Notes...)
+		for _, sr := range p.Series {
+			if i, ok := at[sr.Name]; ok {
+				rep.Series[i].Points = append(rep.Series[i].Points, sr.Points...)
+				continue
+			}
+			at[sr.Name] = len(rep.Series)
+			sr.Points = slices.Clone(sr.Points)
+			rep.Series = append(rep.Series, sr)
+		}
+		rep.SimEvents += p.SimEvents
+		rep.WallMS += p.WallMS
+	}
+	if s.Summarize != nil {
+		if err := s.Summarize(cfg, rep); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
+}
+
+// points returns the points of the series called name and whether the
+// report has one: how a Summarize reads the curves its shards emitted.
+func (r *Report) points(name string) ([]sim.Point, bool) {
+	i := slices.IndexFunc(r.Series, func(s sim.Series) bool { return s.Name == name })
+	if i < 0 {
+		return nil, false
+	}
+	return r.Series[i].Points, true
 }
 
 // DiurnalTrace is the E16 arrival stream of the campaign's configuration:

@@ -104,15 +104,8 @@ var chaosHeader = []string{
 	"repairs", "availability", "goodput [req/s]", "p99 [ms]", "deadline misses",
 }
 
-func chaosShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	names := cluster.RouterNames()
-	if shard < 0 || shard >= len(names) {
-		return nil, fmt.Errorf("experiments: chaos shard %d out of range", shard)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	router, err := cluster.RouterByName(names[shard])
+func chaosShard(_ context.Context, env *Env, shard int) (*Report, error) {
+	router, err := cluster.RouterByName(cluster.RouterNames()[shard])
 	if err != nil {
 		return nil, err
 	}
@@ -160,7 +153,7 @@ func chaosShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		return nil, err
 	}
 	agg := st.Aggregate
-	rep := &Report{ID: "E15", Title: chaosTitle, SimEvents: st.KernelEvents}
+	rep := &Report{ID: "E15", Title: chaosTitle, Header: chaosHeader, SimEvents: st.KernelEvents}
 	rep.Rows = append(rep.Rows, []string{
 		router.Name(),
 		strconv.Itoa(st.Arrivals), strconv.Itoa(agg.Completed),
@@ -179,19 +172,10 @@ func chaosShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func chaosMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E15", Title: chaosTitle, Header: chaosHeader}
-	metrics := make(map[string][]sim.Point)
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Series = append(rep.Series, p.Series...)
-		for _, s := range p.Series {
-			metrics[s.Name] = s.Points
-		}
-	}
-	aff, okA := metrics["e15_affinity"]
-	jsq, okJ := metrics["e15_least-outstanding"]
-	if okA && okJ && len(aff) == 3 && len(jsq) == 3 && aff[2].Y > 0 {
+func chaosSummarize(cfg Config, rep *Report) error {
+	aff, _ := rep.points("e15_affinity")
+	jsq, _ := rep.points("e15_least-outstanding")
+	if len(aff) == 3 && len(jsq) == 3 && aff[2].Y > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"under the storm, affinity routing degrades worst — its cache locality dies with the crashed board: goodput %.0f vs least-outstanding's %.0f req/s, p99 %.1f vs %.1f ms — queue depth already encodes board health, consistent hashing does not",
 			aff[1].Y, jsq[1].Y, aff[2].Y/1000, jsq[2].Y/1000))
@@ -199,7 +183,7 @@ func chaosMerge(cfg Config, parts []*Report) (*Report, error) {
 	storm := chaosStorm(cfg)
 	schedule, err := storm.Schedule()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"storm (seeded, identical for every policy): %d board outages of %v, %d thermal excursions to %.0f °C, %d CRC glitches of %d frames across a %v horizon — %d events total",
@@ -208,5 +192,5 @@ func chaosMerge(cfg Config, parts []*Report) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"self-healing on: connection-refused failover, CRC-verdict outlier ejection, thermal throttling to nominal, scrub repair, autoscaler replacing dead capacity (bounds %d…%d); %d req at %d req/s, Zipf(%.1f) popularity, warm caches",
 		routeFleetSize-1, routeFleetSize, chaosRequests, chaosRatePerSec, routeSkew))
-	return rep, nil
+	return nil
 }

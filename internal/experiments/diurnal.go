@@ -168,15 +168,8 @@ func diurnalFlashWindow(wins []cluster.WindowStat) (offered, shed int) {
 	return offered, shed
 }
 
-func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	policies := diurnalPolicies(env.Cfg)
-	if shard < 0 || shard >= len(policies) {
-		return nil, fmt.Errorf("experiments: diurnal shard %d out of range", shard)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	policy := policies[shard]
+func diurnalShard(_ context.Context, env *Env, shard int) (*Report, error) {
+	policy := diurnalPolicies(env.Cfg)[shard]
 	tr, err := diurnalStream(env.Cfg)
 	if err != nil {
 		return nil, err
@@ -238,7 +231,7 @@ func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		}
 		return 0
 	}
-	rep := &Report{ID: "E16", Title: diurnalTitle, SimEvents: st.KernelEvents}
+	rep := &Report{ID: "E16", Title: diurnalTitle, Header: diurnalHeader, SimEvents: st.KernelEvents}
 	rep.Rows = append(rep.Rows, []string{
 		policy,
 		strconv.Itoa(st.Arrivals), strconv.Itoa(agg.Completed), strconv.Itoa(agg.Shed),
@@ -274,7 +267,7 @@ func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	if len(fcast.Points) > 0 {
 		rep.Series = append(rep.Series, fcast)
 	}
-	// The merge's comparison metrics, one summary series per policy.
+	// Summarize's comparison metrics, one summary series per policy.
 	summary := sim.Series{Name: "e16_" + policy, XLabel: "metric_index", YLabel: "value"}
 	summary.Append(0, flashFrac)
 	summary.Append(1, st.GoodputPerSec())
@@ -284,19 +277,10 @@ func diurnalShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func diurnalMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E16", Title: diurnalTitle, Header: diurnalHeader}
-	metrics := make(map[string][]sim.Point)
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Series = append(rep.Series, p.Series...)
-		for _, s := range p.Series {
-			metrics[s.Name] = s.Points
-		}
-	}
-	re, okR := metrics["e16_"+string(cluster.ScalerReactive)]
-	pr, okP := metrics["e16_"+string(cluster.ScalerPredictive)]
-	if okR && okP && len(re) == 4 && len(pr) == 4 {
+func diurnalSummarize(cfg Config, rep *Report) error {
+	re, _ := rep.points("e16_" + string(cluster.ScalerReactive))
+	pr, _ := rep.points("e16_" + string(cluster.ScalerPredictive))
+	if len(re) == 4 && len(pr) == 4 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"through the flash crowd the predictive scaler sheds %.1f%% vs reactive's %.1f%% — the spike outruns any forecast, but the forecast recovers in one window of observation while the reactive policy pays one shedding window per board it is short (goodput %.0f vs %.0f req/s)",
 			100*pr[0].Y, 100*re[0].Y, pr[1].Y, re[1].Y))
@@ -311,11 +295,11 @@ func diurnalMerge(cfg Config, parts []*Report) (*Report, error) {
 		diurnalDay, 120.0, 450.0, diurnalFlashPeak, diurnalFlashStart, source))
 	prof, err := ProfileFor(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"%d× %s fleet, cold caches, autoscaler window %v bounds 1…%d, predictive planning at %d req/s per board (Holt smoothing); SLO classes latency (%v) 3:1 over batch (%v); curve peak %.0f req/s",
 		diurnalFleetSize, prof.Name, diurnalHour, diurnalFleetSize,
 		diurnalBoardRate, serveDeadline, batchDeadline, curve.Peak()))
-	return rep, nil
+	return nil
 }

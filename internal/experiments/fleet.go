@@ -204,16 +204,9 @@ func boardsLabel(specs []cluster.BoardSpec) string {
 	return strings.Join(names, ",")
 }
 
-func scaleShard(ctx context.Context, env *Env, shard int) (*Report, error) {
+func scaleShard(_ context.Context, env *Env, shard int) (*Report, error) {
 	points := fleetPoints(env.Cfg)
-	comps := fleetCompositions()
-	if shard < 0 || shard >= len(comps)*points {
-		return nil, fmt.Errorf("experiments: scaleout shard %d out of range", shard)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	comp := comps[shard/points]
+	comp := fleetCompositions()[shard/points]
 	pt := shard % points
 	sizes := fleetSizes(env.Cfg)
 	auto := pt == len(sizes)
@@ -238,7 +231,7 @@ func scaleShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{ID: "E13", Title: scaleTitle, SimEvents: st.KernelEvents}
+	rep := &Report{ID: "E13", Title: scaleTitle, Header: scaleHeader, SimEvents: st.KernelEvents}
 	rep.Rows = append(rep.Rows, scaleRow(label, boardsLabel(fleetBoards(comp.cycle, size)), fleetRouterName(env.Cfg), st))
 	if !auto {
 		good := sim.Series{Name: "e13_" + comp.name + "_goodput", XLabel: "fleet_size", YLabel: "goodput_req_per_s"}
@@ -255,33 +248,13 @@ func scaleShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func scaleMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E13", Title: scaleTitle, Header: scaleHeader}
-	merged := make(map[string]*sim.Series)
-	var order []string
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Notes = append(rep.Notes, p.Notes...)
-		for _, s := range p.Series {
-			if dst, ok := merged[s.Name]; ok {
-				dst.Points = append(dst.Points, s.Points...)
-			} else {
-				cp := s
-				cp.Points = append([]sim.Point(nil), s.Points...)
-				merged[s.Name] = &cp
-				order = append(order, s.Name)
-			}
-		}
-	}
-	for _, name := range order {
-		rep.Series = append(rep.Series, *merged[name])
-	}
+func scaleSummarize(cfg Config, rep *Report) error {
 	for _, comp := range fleetCompositions() {
-		good, ok := merged["e13_"+comp.name+"_goodput"]
-		if !ok || len(good.Points) < 2 {
+		good, _ := rep.points("e13_" + comp.name + "_goodput")
+		if len(good) < 2 {
 			continue
 		}
-		first, last := good.Points[0], good.Points[len(good.Points)-1]
+		first, last := good[0], good[len(good)-1]
 		if first.Y > 0 {
 			rep.Notes = append(rep.Notes, fmt.Sprintf(
 				"%s: goodput scales %.1f× from %d to %d boards at %d req/s offered (%.0f → %.0f req/s useful)",
@@ -291,7 +264,7 @@ func scaleMerge(cfg Config, parts []*Report) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"%d-request streams at %d req/s (above the ~800 req/s cached single-board knee), %s routing, warm caches, deadlines at %v",
 		fleetRequests, fleetRatePerSec, fleetRouterName(cfg), serveDeadline))
-	return rep, nil
+	return nil
 }
 
 // --- E14: routing policy × skewed popularity ---
@@ -322,15 +295,8 @@ func routeStream(cfg Config) (workload.Trace, []cluster.BoardSpec, error) {
 	return tr, boards, err
 }
 
-func routeShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	names := cluster.RouterNames()
-	if shard < 0 || shard >= len(names) {
-		return nil, fmt.Errorf("experiments: route shard %d out of range", shard)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	router, err := cluster.RouterByName(names[shard])
+func routeShard(_ context.Context, env *Env, shard int) (*Report, error) {
+	router, err := cluster.RouterByName(cluster.RouterNames()[shard])
 	if err != nil {
 		return nil, err
 	}
@@ -360,7 +326,7 @@ func routeShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		return nil, err
 	}
 	agg := st.Aggregate
-	rep := &Report{ID: "E14", Title: routeTitle, SimEvents: st.KernelEvents}
+	rep := &Report{ID: "E14", Title: routeTitle, Header: routeHeader, SimEvents: st.KernelEvents}
 	rep.Rows = append(rep.Rows, []string{
 		router.Name(),
 		strconv.Itoa(agg.Offered), strconv.Itoa(agg.Completed), strconv.Itoa(agg.Shed),
@@ -377,29 +343,20 @@ func routeShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func routeMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E14", Title: routeTitle, Header: routeHeader}
-	metrics := make(map[string][]sim.Point)
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Series = append(rep.Series, p.Series...)
-		for _, s := range p.Series {
-			metrics[s.Name] = s.Points
-		}
-	}
-	aff, okA := metrics["e14_affinity"]
-	rr, okR := metrics["e14_round-robin"]
-	if okA && okR && len(aff) == 2 && len(rr) == 2 && aff[1].Y > 0 {
+func routeSummarize(cfg Config, rep *Report) error {
+	aff, _ := rep.points("e14_affinity")
+	rr, _ := rep.points("e14_round-robin")
+	if len(aff) == 2 && len(rr) == 2 && aff[1].Y > 0 {
 		rep.Notes = append(rep.Notes, fmt.Sprintf(
 			"bitstream-affinity keeps each image on one board's cache: hit ratio %.0f%% vs round-robin's %.0f%%, p99 %.1f ms vs %.1f ms (%.1f× lower) under Zipf(%.1f) image popularity",
 			100*aff[0].Y, 100*rr[0].Y, aff[1].Y/1000, rr[1].Y/1000, rr[1].Y/aff[1].Y, routeSkew))
 	}
 	prof, err := ProfileFor(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"%d-board %s fleet, cold %d-image caches vs a %d-image working set, %d req at %d req/s; routing spread is max/min requests per board (1.0 = perfectly balanced)",
 		routeFleetSize, prof.Name, routeCacheImages, len(satASPs)*len(prof.RPNames()), fleetRequests, routeRatePerSec))
-	return rep, nil
+	return nil
 }

@@ -172,7 +172,6 @@ func oneOf(kind string, names func() []string) func(string) error {
 
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
 
-
 func parseString(s string) (string, error) { return s, nil }
 
 // listOf parses a comma-separated grid; blank entries are skipped, and a

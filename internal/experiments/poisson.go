@@ -40,8 +40,9 @@ func poissonTraceFor(cfg Config) (workload.Trace, error) {
 var poissonHeader = []string{"segment", "requests", "hits", "reconfigs", "failures", "reconfig [us]", "makespan [us]", "PDR overhead"}
 
 // The partial report carries the raw segment statistics as a numeric
-// series (one point per metric, in this order); merge does ALL the row
-// formatting, so totals sum exact values and never re-parse display text.
+// series (one point per metric, in this order); the merge stitches the
+// segments into one series and Summarize does ALL the row formatting, so
+// totals sum exact values and never re-parse display text.
 const (
 	pmRequests = iota
 	pmHits
@@ -52,10 +53,7 @@ const (
 	pmCount
 )
 
-func poissonShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+func poissonShard(_ context.Context, env *Env, shard int) (*Report, error) {
 	tr, err := poissonTraceFor(env.Cfg)
 	if err != nil {
 		return nil, err
@@ -85,11 +83,11 @@ func poissonShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	} {
 		raw.Append(float64(i), v)
 	}
-	return &Report{ID: "E9", Title: poissonTitle, Series: []sim.Series{raw}}, nil
+	return &Report{ID: "E9", Title: poissonTitle, Header: poissonHeader, Series: []sim.Series{raw}}, nil
 }
 
-func poissonMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E9", Title: poissonTitle, Header: poissonHeader}
+func poissonSummarize(_ Config, rep *Report) error {
+	raw, _ := rep.points("e9_raw")
 	overheadSeries := sim.Series{Name: "e9_overhead", XLabel: "segment", YLabel: "pdr_overhead_fraction"}
 	var total [pmCount]float64
 	row := func(label string, m [pmCount]float64) []string {
@@ -108,9 +106,9 @@ func poissonMerge(cfg Config, parts []*Report) (*Report, error) {
 			fmt.Sprintf("%.1f%%", 100*overhead),
 		}
 	}
-	for k, p := range parts {
+	for k := 0; k < poissonSegments; k++ {
 		var m [pmCount]float64
-		for i, pt := range p.Series[0].Points {
+		for i, pt := range raw[k*pmCount : (k+1)*pmCount] {
 			m[i] = pt.Y
 			total[i] += pt.Y
 		}
@@ -121,7 +119,7 @@ func poissonMerge(cfg Config, parts []*Report) (*Report, error) {
 		}
 	}
 	rep.Rows = append(rep.Rows, row("all segments", total))
-	rep.Series = append(rep.Series, overheadSeries)
+	rep.Series = []sim.Series{overheadSeries}
 	overhead := 0.0
 	if total[pmMakespanUS] > 0 {
 		overhead = total[pmReconfigUS] / total[pmMakespanUS]
@@ -129,5 +127,5 @@ func poissonMerge(cfg Config, parts []*Report) (*Report, error) {
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("%d requests over 4 RPs and %d ASPs at 200 MHz; reconfiguration costs %.1f%% of the makespan — the overhead the paper's over-clocking attacks", int(total[pmRequests]), len(poissonASPs), 100*overhead),
 		"segments replay on fresh boards (cold ASP residency), so the hit rate is a lower bound on a long-running deployment's")
-	return rep, nil
+	return nil
 }

@@ -6,11 +6,13 @@ import (
 	"strings"
 )
 
-// Scenario is one registered, discoverable experiment. A scenario is a pure
-// function of (Config, shard index): every shard runs on its own fresh Env
-// (its own simulation kernel), so shards can execute in any order on any
-// number of workers, and Merge — applied to the shard reports in index
-// order — reconstructs byte-identical output regardless of the schedule.
+// Scenario is one registered, discoverable experiment: a shard runner plus
+// an optional Summarize. A scenario is a pure function of (Config, shard
+// index): every shard runs on its own fresh Env (its own simulation
+// kernel), so shards can execute in any order on any number of workers.
+// The campaign owns the rest — the shard-range check, merge order and
+// series stitching (see mergeShards) — so the merged output is
+// byte-identical regardless of the schedule.
 type Scenario struct {
 	// ID is the stable experiment id ("E1"…"E17", "A1"…"A5").
 	ID string
@@ -30,13 +32,16 @@ type Scenario struct {
 	// shards span (the cross-device scenarios sweep every board). nil
 	// means the scenario runs on the campaign's selected platform.
 	Platforms func(cfg Config) []string
-	// Run executes one shard on a fresh Env and returns its (partial)
-	// report. Single-shard scenarios ignore the shard index. Run must
+	// Run executes one shard on a fresh Env built from EnvConfig(cfg,
+	// shard) and returns its (partial) report. Single-shard scenarios
+	// ignore the shard index. Register wraps it so a shard outside the
+	// plan or a dead ctx returns an error before any work; Run must
 	// honour ctx between measurement points.
 	Run func(ctx context.Context, env *Env, shard int) (*Report, error)
-	// Merge combines the per-shard reports, given in shard order, into
-	// the final Report. nil means single-shard: the report is parts[0].
-	Merge func(cfg Config, parts []*Report) (*Report, error)
+	// Summarize optionally adds what is derived from the merged report —
+	// knees, transposed grids, totals, comparisons — given the campaign
+	// configuration. nil means the merged report is final.
+	Summarize func(cfg Config, rep *Report) error
 }
 
 var (
@@ -47,12 +52,23 @@ var (
 // Register adds a scenario to the package registry. It panics on a
 // duplicate ID/alias or a malformed scenario — registration happens at
 // init, so a panic is a build-time programming error, not a runtime one.
+// It wraps Run with the one shard-entry check every scenario shares.
 func Register(s Scenario) {
 	if s.ID == "" || s.Title == "" || s.Run == nil {
 		panic(fmt.Sprintf("experiments: invalid scenario %+v", s))
 	}
 	if s.Shards == nil {
 		s.Shards = func(Config) int { return 1 }
+	}
+	run, shards := s.Run, s.Shards
+	s.Run = func(ctx context.Context, env *Env, shard int) (*Report, error) {
+		if n := shards(env.Cfg); shard < 0 || shard >= n {
+			return nil, fmt.Errorf("experiments: %s shard %d out of range [0, %d)", s.ID, shard, n)
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		return run(ctx, env, shard)
 	}
 	idx := len(registry)
 	for _, key := range append([]string{s.ID}, s.Aliases...) {
@@ -118,12 +134,7 @@ func (s Scenario) EnvConfig(cfg Config, shard int) Config {
 
 // single adapts a legacy whole-artefact runner to the shard interface.
 func single(fn func(*Env) (*Report, error)) func(context.Context, *Env, int) (*Report, error) {
-	return func(ctx context.Context, env *Env, _ int) (*Report, error) {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		return fn(env)
-	}
+	return func(_ context.Context, env *Env, _ int) (*Report, error) { return fn(env) }
 }
 
 // segBounds splits n items into k contiguous segments and returns the
@@ -147,28 +158,28 @@ func init() {
 		Run:     single(TableI),
 	})
 	Register(Scenario{
-		ID:      "E2",
-		Title:   "Fig. 5 — throughput vs. frequency",
-		Aliases: []string{"fig5"},
-		Shards:  fig5Shards,
-		Run:     fig5Shard,
-		Merge:   fig5Merge,
+		ID:        "E2",
+		Title:     "Fig. 5 — throughput vs. frequency",
+		Aliases:   []string{"fig5"},
+		Shards:    fig5Shards,
+		Run:       fig5Shard,
+		Summarize: fig5Summarize,
 	})
 	Register(Scenario{
-		ID:      "E3",
-		Title:   "Sec. IV-A — temperature stress (pass = CRC valid)",
-		Aliases: []string{"stress"},
-		Shards:  stressShards,
-		Run:     stressShard,
-		Merge:   stressMerge,
+		ID:        "E3",
+		Title:     "Sec. IV-A — temperature stress (pass = CRC valid)",
+		Aliases:   []string{"stress"},
+		Shards:    stressShards,
+		Run:       stressShard,
+		Summarize: stressSummarize,
 	})
 	Register(Scenario{
-		ID:      "E4",
-		Title:   "Fig. 6 — P_PDR [W] vs. frequency at die temperatures",
-		Aliases: []string{"fig6"},
-		Shards:  fig6Shards,
-		Run:     fig6Shard,
-		Merge:   fig6Merge,
+		ID:        "E4",
+		Title:     "Fig. 6 — P_PDR [W] vs. frequency at die temperatures",
+		Aliases:   []string{"fig6"},
+		Shards:    fig6Shards,
+		Run:       fig6Shard,
+		Summarize: fig6Summarize,
 	})
 	Register(Scenario{
 		ID:      "E5",
@@ -195,12 +206,12 @@ func init() {
 		Run:     single(LatencyClaims),
 	})
 	Register(Scenario{
-		ID:      "E9",
-		Title:   "Fig. 1 framework under Poisson load (sharded trace segments)",
-		Aliases: []string{"poisson"},
-		Shards:  poissonShards,
-		Run:     poissonShard,
-		Merge:   poissonMerge,
+		ID:        "E9",
+		Title:     "Fig. 1 framework under Poisson load (sharded trace segments)",
+		Aliases:   []string{"poisson"},
+		Shards:    poissonShards,
+		Run:       poissonShard,
+		Summarize: poissonSummarize,
 	})
 	Register(Scenario{
 		ID:          "E10",
@@ -210,7 +221,7 @@ func init() {
 		ShardConfig: xplatShardConfig,
 		Platforms:   boardNames,
 		Run:         xplatShard,
-		Merge:       xplatMerge,
+		Summarize:   xplatSummarize,
 	})
 	Register(Scenario{
 		ID:          "E11",
@@ -220,15 +231,15 @@ func init() {
 		ShardConfig: satShardConfig,
 		Platforms:   boardNames,
 		Run:         satShard,
-		Merge:       satMerge,
+		Summarize:   satSummarize,
 	})
 	Register(Scenario{
-		ID:      "E12",
-		Title:   schedTitle,
-		Aliases: []string{"sched"},
-		Shards:  schedShards,
-		Run:     schedShard,
-		Merge:   schedMerge,
+		ID:        "E12",
+		Title:     schedTitle,
+		Aliases:   []string{"sched"},
+		Shards:    schedShards,
+		Run:       schedShard,
+		Summarize: schedSummarize,
 	})
 	Register(Scenario{
 		ID:        "E13",
@@ -237,31 +248,31 @@ func init() {
 		Shards:    scaleShards,
 		Platforms: boardNames,
 		Run:       scaleShard,
-		Merge:     scaleMerge,
+		Summarize: scaleSummarize,
 	})
 	Register(Scenario{
-		ID:      "E14",
-		Title:   routeTitle,
-		Aliases: []string{"route"},
-		Shards:  routeShards,
-		Run:     routeShard,
-		Merge:   routeMerge,
+		ID:        "E14",
+		Title:     routeTitle,
+		Aliases:   []string{"route"},
+		Shards:    routeShards,
+		Run:       routeShard,
+		Summarize: routeSummarize,
 	})
 	Register(Scenario{
-		ID:      "E15",
-		Title:   chaosTitle,
-		Aliases: []string{"chaos"},
-		Shards:  chaosShards,
-		Run:     chaosShard,
-		Merge:   chaosMerge,
+		ID:        "E15",
+		Title:     chaosTitle,
+		Aliases:   []string{"chaos"},
+		Shards:    chaosShards,
+		Run:       chaosShard,
+		Summarize: chaosSummarize,
 	})
 	Register(Scenario{
-		ID:      "E16",
-		Title:   diurnalTitle,
-		Aliases: []string{"diurnal"},
-		Shards:  diurnalShards,
-		Run:     diurnalShard,
-		Merge:   diurnalMerge,
+		ID:        "E16",
+		Title:     diurnalTitle,
+		Aliases:   []string{"diurnal"},
+		Shards:    diurnalShards,
+		Run:       diurnalShard,
+		Summarize: diurnalSummarize,
 	})
 	Register(Scenario{
 		ID:      "E17",

@@ -19,7 +19,7 @@ import (
 //   - E11 "saturate": an open-loop latency-vs-offered-load sweep per
 //     platform board, run twice per rate — with the profile-budget DRAM
 //     bitstream cache and with the cache disabled (every reconfiguration
-//     re-stages its image from the SD-card backing store). The merge
+//     re-stages its image from the SD-card backing store). Its Summarize
 //     detects each configuration's saturation knee (where the p99 sojourn
 //     diverges) and reports how far the cache moves it.
 //   - E12 "sched": dispatch policy × cache budget at a fixed offered load
@@ -76,7 +76,8 @@ func satSegments(cfg Config) int {
 func satShards(cfg Config) int { return len(platform.Boards()) * satSegments(cfg) }
 
 // satShardConfig maps shard → (board, rate segment): platform-major, so a
-// board's segments are contiguous and the merged rows group per platform.
+// board's segments are contiguous, the merged rows group per platform and
+// each stitched (platform, mode) curve stays sorted by rate.
 func satShardConfig(cfg Config, shard int) Config {
 	boards := platform.Boards()
 	if seg := satSegments(cfg); seg > 0 && shard >= 0 && shard < len(boards)*seg {
@@ -106,22 +107,12 @@ var satHeader = []string{
 }
 
 // envSource hands out one fresh board per measurement point. The shard's
-// provided Env is itself freshly booted by the scenario runner, so it
-// serves the first point (when its platform matches) instead of being
-// thrown away; every later point boots its own.
+// Env is itself freshly booted by the campaign as the shard's platform, so
+// it serves the first point instead of being thrown away; every later
+// point boots its own from the same configuration.
 type envSource struct {
 	cfg   Config
 	first *Env
-}
-
-func newEnvSource(cfg Config, provided *Env) *envSource {
-	src := &envSource{cfg: cfg}
-	// Registry profiles are singletons, so pointer equality resolves ""
-	// (the default platform) correctly too.
-	if prof, err := ProfileFor(cfg); err == nil && provided != nil && provided.Platform.Profile == prof {
-		src.first = provided
-	}
-	return src
 }
 
 func (src *envSource) next() (*Env, error) {
@@ -153,21 +144,16 @@ func hitRate(s hll.ServiceStats) string {
 	return fmt.Sprintf("%.0f%%", 100*float64(s.Hits)/float64(s.Requests))
 }
 
+// satShard serves one rate segment on the board satShardConfig built the
+// shard's Env as.
 func satShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	boards := platform.Boards()
-	segs := satSegments(env.Cfg)
-	if shard < 0 || shard >= len(boards)*segs {
-		return nil, fmt.Errorf("experiments: saturate shard %d out of range", shard)
-	}
-	prof := boards[shard/segs]
-	cfg := env.Cfg
-	cfg.Platform = prof.Name // ShardConfig already did this for campaign runs
-	src := newEnvSource(cfg, env)
+	prof, cfg := env.Platform.Profile, env.Cfg
+	src := &envSource{cfg: cfg, first: env}
 	rates := satRateGrid(cfg)
-	lo := (shard % segs) * satSegRates
+	lo := (shard % satSegments(cfg)) * satSegRates
 	hi := min(lo+satSegRates, len(rates))
 
-	rep := &Report{ID: "E11", Title: satTitle}
+	rep := &Report{ID: "E11", Title: satTitle, Header: satHeader}
 	cacheSeries := sim.Series{Name: "e11_" + prof.Name + "_cache", XLabel: "offered_req_per_s", YLabel: "p99_sojourn_us"}
 	noneSeries := sim.Series{Name: "e11_" + prof.Name + "_nocache", XLabel: "offered_req_per_s", YLabel: "p99_sojourn_us"}
 	for ri := lo; ri < hi; ri++ {
@@ -237,39 +223,17 @@ func SaturationKnee(points []sim.Point) (knee float64, diverged bool) {
 	return knee, false
 }
 
-func satMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E11", Title: satTitle, Header: satHeader}
-	// Stitch the per-shard series back into one curve per (platform, mode):
-	// shards are platform-major with ascending rate segments, so appending
-	// points in shard order keeps each curve sorted by rate.
-	merged := make(map[string]*sim.Series)
-	var order []string
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		for _, s := range p.Series {
-			if dst, ok := merged[s.Name]; ok {
-				dst.Points = append(dst.Points, s.Points...)
-			} else {
-				cp := s
-				cp.Points = append([]sim.Point(nil), s.Points...)
-				merged[s.Name] = &cp
-				order = append(order, s.Name)
-			}
-		}
-	}
-	for _, name := range order {
-		rep.Series = append(rep.Series, *merged[name])
-	}
+func satSummarize(_ Config, rep *Report) error {
 	// Knee decomposition per platform: where each mode's p99 diverges, and
 	// how far the DRAM bitstream cache moves the knee.
 	for _, prof := range platform.Boards() {
-		withCache, okC := merged["e11_"+prof.Name+"_cache"]
-		withoutCache, okN := merged["e11_"+prof.Name+"_nocache"]
+		withCache, okC := rep.points("e11_" + prof.Name + "_cache")
+		withoutCache, okN := rep.points("e11_" + prof.Name + "_nocache")
 		if !okC || !okN {
 			continue
 		}
-		kneeC, divC := SaturationKnee(withCache.Points)
-		kneeN, divN := SaturationKnee(withoutCache.Points)
+		kneeC, divC := SaturationKnee(withCache)
+		kneeN, divN := SaturationKnee(withoutCache)
 		geC, geN := "", ""
 		if !divC {
 			geC = "≥"
@@ -295,7 +259,7 @@ func satMerge(cfg Config, parts []*Report) (*Report, error) {
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"open-loop Poisson arrivals over %d-request streams at 200 MHz; per-RP queues cap at %d (excess load is shed), deadlines at %v",
 		satRequests, serveQueueCap, serveDeadline))
-	return rep, nil
+	return nil
 }
 
 // --- E12: policy × cache budget ---
@@ -326,18 +290,11 @@ func schedBudgets(prof *platform.Profile) []struct {
 }
 
 func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
-	names := sched.PolicyNames()
-	if shard < 0 || shard >= len(names) {
-		return nil, fmt.Errorf("experiments: sched shard %d out of range", shard)
-	}
-	policy, err := sched.PolicyByName(names[shard])
+	policy, err := sched.PolicyByName(sched.PolicyNames()[shard])
 	if err != nil {
 		return nil, err
 	}
-	prof, err := ProfileFor(env.Cfg)
-	if err != nil {
-		return nil, err
-	}
+	prof := env.Platform.Profile
 	spec := workload.ArrivalSpec{
 		RatePerSec:  schedRatePerSec,
 		BurstFactor: schedBurstFactor,
@@ -350,9 +307,9 @@ func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		return nil, err
 	}
 
-	rep := &Report{ID: "E12", Title: schedTitle}
+	rep := &Report{ID: "E12", Title: schedTitle, Header: schedHeader}
 	series := sim.Series{Name: "e12_" + policy.Name(), XLabel: "budget_index", YLabel: "p99_sojourn_us"}
-	src := newEnvSource(env.Cfg, env)
+	src := &envSource{cfg: env.Cfg, first: env}
 	for bi, budget := range schedBudgets(prof) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -383,12 +340,7 @@ func schedShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func schedMerge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E12", Title: schedTitle, Header: schedHeader}
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		rep.Series = append(rep.Series, p.Series...)
-	}
+func schedSummarize(cfg Config, rep *Report) error {
 	// Headline: policies matter most when the cache thrashes — compare p99
 	// at the smallest budget, and note the convergence at the profile one.
 	// Exact ties are reported jointly: on a fabric with uniform RP cuts
@@ -400,16 +352,14 @@ func schedMerge(cfg Config, parts []*Report) (*Report, error) {
 	}
 	var scores []score
 	worstP99 := 0.0
-	for _, p := range parts {
-		for _, s := range p.Series {
-			if len(s.Points) == 0 {
-				continue
-			}
-			p99 := s.Points[0].Y // first budget = thrashing 4-image cache
-			scores = append(scores, score{name: s.Name[len("e12_"):], p99: p99})
-			if p99 > worstP99 {
-				worstP99 = p99
-			}
+	for _, s := range rep.Series {
+		if len(s.Points) == 0 {
+			continue
+		}
+		p99 := s.Points[0].Y // first budget = thrashing 4-image cache
+		scores = append(scores, score{name: s.Name[len("e12_"):], p99: p99})
+		if p99 > worstP99 {
+			worstP99 = p99
 		}
 	}
 	if len(scores) > 0 {
@@ -436,11 +386,11 @@ func schedMerge(cfg Config, parts []*Report) (*Report, error) {
 	}
 	prof, err := ProfileFor(cfg)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"bursty multi-tenant stream (%d req at %d req/s mean, %dx bursts of %d) on %s; the 4-image budget thrashes against a %d-image working set, re-staging from SD on most swaps",
 		satRequests, schedRatePerSec, schedBurstFactor, schedBurstLen, prof.Name,
 		len(satASPs)*len(prof.RPNames())))
-	return rep, nil
+	return nil
 }

@@ -13,9 +13,9 @@ import (
 // sweep (E2), the heat-gun stress matrix (E3) and the power grid (E4) split
 // into independent work units — one per frequency segment or temperature —
 // each running on a fresh Env. The shard plan is a function of the Config
-// only, never of worker count, and the merge functions reassemble the
-// shard reports in index order, so a parallel campaign reproduces the
-// sequential output byte for byte.
+// only, never of worker count, and the campaign merges the shard reports
+// in index order before each Summarize rebuilds the grid, so a parallel
+// campaign reproduces the sequential output byte for byte.
 
 const (
 	fig5Title       = "Fig. 5 — throughput vs. frequency"
@@ -98,19 +98,12 @@ func fig5Shard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func fig5Merge(cfg Config, parts []*Report) (*Report, error) {
-	rep := &Report{ID: "E2", Title: fig5Title, Header: []string{"freq [MHz]", "throughput [MB/s]"}}
-	series := sim.Series{Name: "fig5", XLabel: "frequency_mhz", YLabel: "throughput_mbs"}
-	for _, p := range parts {
-		rep.Rows = append(rep.Rows, p.Rows...)
-		series.Points = append(series.Points, p.Series[0].Points...)
-	}
-	knee := kneeMHz(series.Points)
-	rep.Series = append(rep.Series, series)
+func fig5Summarize(cfg Config, rep *Report) error {
+	points, _ := rep.points("fig5")
 	rep.Notes = append(rep.Notes,
-		fmt.Sprintf("curve linear until ≈%.0f MHz, then flattens (paper: ≈200 MHz)", knee),
-		fmt.Sprintf("swept as %d independent frequency segments, each on a fresh board", len(parts)))
-	return rep, nil
+		fmt.Sprintf("curve linear until ≈%.0f MHz, then flattens (paper: ≈200 MHz)", kneeMHz(points)),
+		fmt.Sprintf("swept as %d independent frequency segments, each on a fresh board", fig5Shards(cfg)))
+	return nil
 }
 
 // --- E3: heat-gun stress matrix, sharded one temperature per unit ---
@@ -128,7 +121,7 @@ func stressShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{ID: "E3", Title: stressTitle, Header: []string{fmt.Sprintf("%.0fC", temp)}}
+	rep := &Report{ID: "E3", Title: stressTitle, Header: tempHeader("freq\\temp", temps)}
 	for _, cell := range cells {
 		mark := "pass"
 		if !cell.Passed {
@@ -139,18 +132,17 @@ func stressShard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	return rep, nil
 }
 
-func stressMerge(cfg Config, parts []*Report) (*Report, error) {
+// stressSummarize transposes the merged temperature-major pass/FAIL
+// column (one shard per temperature) into the frequency × temperature grid.
+func stressSummarize(cfg Config, rep *Report) error {
 	freqs, temps := stressGrid(cfg)
-	header := []string{"freq\\temp"}
-	for _, t := range temps {
-		header = append(header, fmt.Sprintf("%.0fC", t))
-	}
-	rep := &Report{ID: "E3", Title: stressTitle, Header: header}
+	marks := rep.Rows
+	rep.Rows = nil
 	fails := 0
 	for i, f := range freqs {
 		row := []string{mhz(f) + " MHz"}
-		for _, p := range parts {
-			mark := p.Rows[i][0]
+		for t := range temps {
+			mark := marks[t*len(freqs)+i][0]
 			if mark == "FAIL" {
 				fails++
 			}
@@ -160,8 +152,17 @@ func stressMerge(cfg Config, parts []*Report) (*Report, error) {
 	}
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("%d failing cell(s); paper reports exactly one: 310 MHz @ 100 °C", fails),
-		fmt.Sprintf("stressed as %d independent temperature columns, each on a freshly heated board", len(parts)))
-	return rep, nil
+		fmt.Sprintf("stressed as %d independent temperature columns, each on a freshly heated board", len(temps)))
+	return nil
+}
+
+// tempHeader is the header of a frequency × temperature grid (E3, E4).
+func tempHeader(corner string, temps []float64) []string {
+	header := []string{corner}
+	for _, t := range temps {
+		header = append(header, fmt.Sprintf("%.0fC", t))
+	}
+	return header
 }
 
 // --- E4: power grid, sharded one temperature per unit ---
@@ -181,43 +182,44 @@ func fig6Shard(ctx context.Context, env *Env, shard int) (*Report, error) {
 		return nil, err
 	}
 	// The partial report carries the measured column as a numeric series;
-	// the merge rebuilds the formatted grid from it.
+	// Summarize rebuilds the formatted grid from it.
 	s := sim.Series{Name: fmt.Sprintf("fig6_%.0fC", temp), XLabel: "frequency_mhz", YLabel: "pdr_watts"}
 	for _, pt := range points {
 		s.Append(pt.FreqMHz, pt.PDRWatts)
 	}
-	return &Report{ID: "E4", Title: fig6Title, Series: []sim.Series{s}}, nil
+	return &Report{ID: "E4", Title: fig6Title, Header: tempHeader("freq [MHz]", temps), Series: []sim.Series{s}}, nil
 }
 
-func fig6Merge(cfg Config, parts []*Report) (*Report, error) {
+// fig6Summarize transposes the measured columns into the frequency ×
+// temperature grid. It reads the points temperature-major across every
+// series, so two temperatures that print alike (and so stitch into one
+// series) still fill their own columns.
+func fig6Summarize(cfg Config, rep *Report) error {
 	freqs, temps := fig6Grid(cfg)
-	header := []string{"freq [MHz]"}
-	for _, t := range temps {
-		header = append(header, fmt.Sprintf("%.0fC", t))
+	var watts []sim.Point
+	for _, s := range rep.Series {
+		watts = append(watts, s.Points...)
 	}
-	rep := &Report{ID: "E4", Title: fig6Title, Header: header}
-	for _, p := range parts {
-		rep.Series = append(rep.Series, p.Series[0])
-	}
+	column := func(t int) []sim.Point { return watts[t*len(freqs) : (t+1)*len(freqs)] }
 	for fi, f := range freqs {
 		row := []string{mhz(f)}
-		for _, p := range parts {
-			row = append(row, f2(p.Series[0].Points[fi].Y))
+		for t := range temps {
+			row = append(row, f2(column(t)[fi].Y))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	if len(freqs) > 1 {
-		slope := func(p *Report) float64 {
-			pts := p.Series[0].Points
+		slope := func(t int) float64 {
+			pts := column(t)
 			first, last := pts[0], pts[len(pts)-1]
 			return (last.Y - first.Y) / (last.X - first.X)
 		}
 		rep.Notes = append(rep.Notes,
 			fmt.Sprintf("dynamic slope %.4f W/MHz at %.0fC vs %.4f at %.0fC (paper: temperature-independent)",
-				slope(parts[0]), temps[0], slope(parts[len(parts)-1]), temps[len(temps)-1]))
+				slope(0), temps[0], slope(len(temps)-1), temps[len(temps)-1]))
 	}
 	rep.Notes = append(rep.Notes,
 		"static power grows super-linearly with temperature (paper's Fig. 6 observation)",
-		fmt.Sprintf("profiled as %d independent temperature columns, each on a freshly heated board", len(parts)))
-	return rep, nil
+		fmt.Sprintf("profiled as %d independent temperature columns, each on a freshly heated board", len(temps)))
+	return nil
 }
