@@ -68,12 +68,7 @@ func fleetCompositions() []fleetComposition {
 }
 
 // fleetSizes is the E13 fleet-size axis.
-func fleetSizes(cfg Config) []int {
-	if len(cfg.FleetSizes) > 0 {
-		return cfg.FleetSizes
-	}
-	return []int{1, 2, 4, 8}
-}
+func fleetSizes(cfg Config) []int { return orDefault(cfg.FleetSizes, []int{1, 2, 4, 8}) }
 
 // fleetRouterName resolves E13's routing policy.
 func fleetRouterName(cfg Config) string {

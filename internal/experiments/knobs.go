@@ -38,8 +38,7 @@ var knobs = []Knob{
 		func(c *Config) *[]float64 { return &c.Freqs }, listOf(parseFloat),
 		each(within("finite, > 0", func(f float64) bool { return finite(f) && f > 0 }))),
 	knob("temps", "comma-separated die-temperature axis in °C of E3 and E4 (default: the paper grids)",
-		func(c *Config) *[]float64 { return &c.Temps }, listOf(parseFloat),
-		each(within(fmt.Sprintf("finite, ≥ %g", absoluteZeroC), func(t float64) bool { return finite(t) && t >= absoluteZeroC }))),
+		func(c *Config) *[]float64 { return &c.Temps }, listOf(parseFloat), tempRule),
 	knob("rates", fmt.Sprintf("comma-separated offered-load axis in req/s of E11 (default %s)", csv(satRateGrid(Config{}))),
 		func(c *Config) *[]float64 { return &c.Rates }, listOf(parseFloat),
 		each(within("finite, > 0", func(r float64) bool { return finite(r) && r > 0 }))),
@@ -134,7 +133,31 @@ func chaosKnob(name, what string, def int, at func(*Config) *int) Knob {
 		at, strconv.Atoi, within(fmt.Sprintf("≤ %d", maxChaosFaults), func(n int) bool { return n <= maxChaosFaults }))
 }
 
+// tempRule: every temperature is physical, and no two label the same E3/E4
+// column (and E4 series), adjacent or not.
+func tempRule(temps []float64) error {
+	seen := map[string]float64{}
+	for _, t := range temps {
+		if !finite(t) || t < absoluteZeroC {
+			return fmt.Errorf("%v out of range (want finite, ≥ %g)", t, absoluteZeroC)
+		}
+		if prev, dup := seen[tempLabel(t)]; dup {
+			return fmt.Errorf("%v and %v both label column %s (want distinct whole-degree labels)", prev, t, tempLabel(t))
+		}
+		seen[tempLabel(t)] = t
+	}
+	return nil
+}
+
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// orDefault is a scenario's grid: the knob's values when set, else def.
+func orDefault[T any](knob, def []T) []T {
+	if len(knob) > 0 {
+		return knob
+	}
+	return def
+}
 
 var nonNegative = within("finite, ≥ 0", func(f float64) bool { return finite(f) && f >= 0 })
 

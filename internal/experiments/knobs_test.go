@@ -54,6 +54,18 @@ func TestKnobTable(t *testing.T) {
 	if len(seen) != len(bad) {
 		t.Errorf("table has %d knobs, want %d", len(seen), len(bad))
 	}
+	// E3 and E4 label each temperature column (and E4 each series) with
+	// whole degrees, so a grid whose labels collide is rejected, adjacent
+	// or not.
+	for _, v := range []string{"40,60,40", "40.2,40.4"} {
+		var cfg Config
+		if err := cfg.Set("temps", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "invalid -temps") {
+			t.Errorf("temps=%s: Validate err = %v, want a label collision naming the knob", v, err)
+		}
+	}
 	var cfg Config
 	if err := cfg.Set("fleet-size", "2"); err == nil || !strings.Contains(err.Error(), "unknown knob") {
 		t.Errorf("unknown knob accepted (err = %v)", err)

@@ -63,10 +63,7 @@ var schedTenants = []string{"alpha", "beta", "gamma"}
 // (hundreds — the ICAP transfer plus accelerator memory contention
 // dominate).
 func satRateGrid(cfg Config) []float64 {
-	if len(cfg.Rates) > 0 {
-		return cfg.Rates
-	}
-	return []float64{25, 50, 100, 400, 800, 1600}
+	return orDefault(cfg.Rates, []float64{25, 50, 100, 400, 800, 1600})
 }
 
 func satSegments(cfg Config) int {

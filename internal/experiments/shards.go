@@ -48,27 +48,13 @@ func fig5Grid(cfg Config) []float64 {
 }
 
 func stressGrid(cfg Config) (freqs, temps []float64) {
-	freqs = []float64{100, 140, 180, 200, 240, 280, 310}
-	if len(cfg.Freqs) > 0 {
-		freqs = cfg.Freqs
-	}
-	temps = []float64{40, 50, 60, 70, 80, 90, 100}
-	if len(cfg.Temps) > 0 {
-		temps = cfg.Temps
-	}
-	return freqs, temps
+	return orDefault(cfg.Freqs, []float64{100, 140, 180, 200, 240, 280, 310}),
+		orDefault(cfg.Temps, []float64{40, 50, 60, 70, 80, 90, 100})
 }
 
 func fig6Grid(cfg Config) (freqs, temps []float64) {
-	freqs = []float64{100, 140, 180, 200, 240, 280}
-	if len(cfg.Freqs) > 0 {
-		freqs = cfg.Freqs
-	}
-	temps = []float64{40, 60, 80, 100}
-	if len(cfg.Temps) > 0 {
-		temps = cfg.Temps
-	}
-	return freqs, temps
+	return orDefault(cfg.Freqs, []float64{100, 140, 180, 200, 240, 280}),
+		orDefault(cfg.Temps, []float64{40, 60, 80, 100})
 }
 
 // --- E2: Fig. 5 sweep, sharded into contiguous frequency segments ---
@@ -160,10 +146,14 @@ func stressSummarize(cfg Config, rep *Report) error {
 func tempHeader(corner string, temps []float64) []string {
 	header := []string{corner}
 	for _, t := range temps {
-		header = append(header, fmt.Sprintf("%.0fC", t))
+		header = append(header, tempLabel(t))
 	}
 	return header
 }
+
+// tempLabel names a temperature's grid column and E4 series. The temps
+// knob rule keeps the labels of one grid distinct.
+func tempLabel(t float64) string { return fmt.Sprintf("%.0fC", t) }
 
 // --- E4: power grid, sharded one temperature per unit ---
 
@@ -183,40 +173,38 @@ func fig6Shard(ctx context.Context, env *Env, shard int) (*Report, error) {
 	}
 	// The partial report carries the measured column as a numeric series;
 	// Summarize rebuilds the formatted grid from it.
-	s := sim.Series{Name: fmt.Sprintf("fig6_%.0fC", temp), XLabel: "frequency_mhz", YLabel: "pdr_watts"}
+	s := sim.Series{Name: "fig6_" + tempLabel(temp), XLabel: "frequency_mhz", YLabel: "pdr_watts"}
 	for _, pt := range points {
 		s.Append(pt.FreqMHz, pt.PDRWatts)
 	}
 	return &Report{ID: "E4", Title: fig6Title, Header: tempHeader("freq [MHz]", temps), Series: []sim.Series{s}}, nil
 }
 
-// fig6Summarize transposes the measured columns into the frequency ×
-// temperature grid. It reads the points temperature-major across every
-// series, so two temperatures that print alike (and so stitch into one
-// series) still fill their own columns.
+// fig6Summarize transposes the measured columns, one series per
+// temperature, into the frequency × temperature grid.
 func fig6Summarize(cfg Config, rep *Report) error {
 	freqs, temps := fig6Grid(cfg)
-	var watts []sim.Point
-	for _, s := range rep.Series {
-		watts = append(watts, s.Points...)
+	column := func(t float64) []sim.Point {
+		pts, _ := rep.points("fig6_" + tempLabel(t))
+		return pts
 	}
-	column := func(t int) []sim.Point { return watts[t*len(freqs) : (t+1)*len(freqs)] }
 	for fi, f := range freqs {
 		row := []string{mhz(f)}
-		for t := range temps {
+		for _, t := range temps {
 			row = append(row, f2(column(t)[fi].Y))
 		}
 		rep.Rows = append(rep.Rows, row)
 	}
 	if len(freqs) > 1 {
-		slope := func(t int) float64 {
+		slope := func(t float64) float64 {
 			pts := column(t)
 			first, last := pts[0], pts[len(pts)-1]
 			return (last.Y - first.Y) / (last.X - first.X)
 		}
+		first, last := temps[0], temps[len(temps)-1]
 		rep.Notes = append(rep.Notes,
-			fmt.Sprintf("dynamic slope %.4f W/MHz at %.0fC vs %.4f at %.0fC (paper: temperature-independent)",
-				slope(0), temps[0], slope(len(temps)-1), temps[len(temps)-1]))
+			fmt.Sprintf("dynamic slope %.4f W/MHz at %s vs %.4f at %s (paper: temperature-independent)",
+				slope(first), tempLabel(first), slope(last), tempLabel(last)))
 	}
 	rep.Notes = append(rep.Notes,
 		"static power grows super-linearly with temperature (paper's Fig. 6 observation)",

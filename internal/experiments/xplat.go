@@ -35,10 +35,7 @@ func xplatShardConfig(cfg Config, shard int) Config {
 // override when given, otherwise the board's own switch table (its
 // Table-I-equivalent operational grid).
 func xplatGrid(cfg Config, prof *platform.Profile) []float64 {
-	if len(cfg.Freqs) > 0 {
-		return cfg.Freqs
-	}
-	return prof.IO.SwitchTableMHz
+	return orDefault(cfg.Freqs, prof.IO.SwitchTableMHz)
 }
 
 var xplatHeader = []string{"platform", "freq [MHz]", "latency [us]", "throughput [MB/s]", "CRC", "outcome"}
